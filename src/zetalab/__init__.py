@@ -16,6 +16,7 @@ from .arith import (
 )
 from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_check
 from .reflect import NuClassification, classify_nu, conj_ratio, kappa, nu, theta
+from .reporting import VERSION as __version__
 from .reporting import CheckResult, RunConfig, emit_report
 from .specfun import EvalResult, gamma, half_cos, recip_gamma_euler, xi_factor
 from .zeros import Rect, ZeroRecord, check_line_zeros, count_zeros_rect, find_critical_zeros, multiplicity
@@ -30,8 +31,6 @@ from .zeta_eval import (
     zeta_floor_integral,
     zeta_reflect,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ArithTable",

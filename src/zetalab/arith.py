@@ -97,34 +97,47 @@ def build_table(n: int) -> ArithTable:
         raise CapacityError(f"bound {n} exceeds budget {MEMORY_BUDGET}")
 
     primes = primes_upto(n)
+    n_small = int(np.searchsorted(primes, math.isqrt(n), side="right"))
 
+    # Strided passes over the primes <= sqrt(n); dividing them out of `rest`
+    # leaves 1 or the single prime factor above sqrt(n) at each index.
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     omega = np.zeros(n + 1, dtype=np.int16)
     mangoldt = np.zeros(n + 1, dtype=np.float64)
-    for p in primes:
-        p = int(p)
+    rest = np.arange(n + 1, dtype=np.int32)
+    for p in primes[:n_small].tolist():
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
+        mu[p * p :: p * p] = 0
         log_p = math.log(p)
         pk = p
         while pk <= n:
             omega[pk::pk] += 1
             mangoldt[pk] = log_p
+            rest[pk::pk] //= p
             pk *= p
+    has_large = rest > 1
+    del rest
+    omega += has_large
+    np.negative(mu, out=mu, where=has_large)
+    del has_large
+    large = primes[n_small:]
+    mangoldt[large] = np.fromiter(map(math.log, large), dtype=np.float64, count=large.size)
 
     liouville = np.where(omega & 1, -1, 1).astype(np.int8)
     liouville[0] = 0
 
+    # Divisor sum over every pair d | m <= n // 2, accumulated at sigma[2m]:
+    # strided by d up to r = isqrt(n // 2), then by the cofactor k for d > r.
     sigma = np.zeros(n + 1, dtype=np.int64)
+    divsum = sigma[::2]
     half = n // 2
-    if half >= 1:
-        divsum = np.zeros(half + 1, dtype=np.int64)
-        for d in range(1, half + 1):
-            divsum[d::d] += mu[d]
-        sigma[2 : 2 * half + 1 : 2] = divsum[1:]
+    r = math.isqrt(half)
+    for d in range(1, r + 1):
+        divsum[d::d] += mu[d]
+    for k in range(1, half // (r + 1) + 1):
+        hi = half // k
+        divsum[k * (r + 1) : k * hi + 1 : k] += mu[r + 1 : hi + 1]
 
     _construction_checks(n, mu, omega, liouville)
     return ArithTable(n, mu, omega, liouville, mangoldt, sigma)

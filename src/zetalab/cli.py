@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import arith
-from .errors import ZetaLabError
+from .errors import UnknownCheckId, ZetaLabError
 from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_check
 from .reflect import kappa, nu, theta
 from .reporting import RunConfig, emit_report
@@ -73,13 +73,17 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("ZETALAB_SEED", "0"))
+        raw = os.environ.get("ZETALAB_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"ZETALAB_SEED must be an integer, got {raw!r}") from None
     cfg = RunConfig(seed=seed)
     if args.only:
         ids = [x.strip() for x in args.only.split(",") if x.strip()]
         unknown = [x for x in ids if x not in REGISTRY]
         if unknown:
-            raise SystemExit(f"unknown check ids: {', '.join(unknown)}")
+            raise UnknownCheckId(f"unknown check ids: {', '.join(unknown)}")
         results = [run_check(check_id, cfg) for check_id in ids]
     else:
         results = run_all(cfg)
@@ -95,7 +99,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     parts = [float(x) for x in args.rect.split(",")]
     if len(parts) != 4:
-        raise SystemExit("--rect expects re_min,re_max,im_min,im_max")
+        raise ValueError("--rect expects re_min,re_max,im_min,im_max")
     region = Rect(*parts)
     csv_text = grid_scan(region, args.step, args.quantity)
     _write_out(csv_text, args.out)
@@ -161,8 +165,15 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    """Run one subcommand. Library errors and malformed input (a bad
+    ZETALAB_SEED, --only or --rect) end the process with one
+    `zetalab: error: ...` line on stderr and exit status 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except (ZetaLabError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import logging
 import math
 import time
 import zlib
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import arith
 from .errors import ZetaLabError
 from .reflect import classify_nu, kappa, nu
 from .reporting import CheckResult, RunConfig
+from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
 from .zeta_eval import (
     DEFAULT_CONFIG,
@@ -262,52 +264,44 @@ def _check_product_identity(cfg: RunConfig, rng) -> tuple[float, int, str]:
     )
 
 
-def _kappa_grid_points(cfg: RunConfig):
-    n_re, n_im = cfg.kappa_grid
+@lru_cache(maxsize=2)
+def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, EvalResult], ...]:
+    """(s, kappa(s)) over the kappa grid, re-major; shared by EQ61 and KAPPA_REALNESS."""
+    n_re, n_im = shape
     res = np.linspace(0.55, 0.95, n_re)
     ims = np.linspace(0.0, 30.0, n_im)
-    return res, ims
+    return tuple((s, kappa(s, _CFG)) for s in (complex(re, im) for re in res for im in ims))
 
 
 def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    res, ims = _kappa_grid_points(cfg)
+    grid = _kappa_grid(cfg.kappa_grid)
     worst = 0.0
     min_abs = math.inf
     max_abs = 0.0
-    n = 0
-    for re in res:
-        for im in ims:
-            s = complex(re, im)
-            k = kappa(s, _CFG)
-            n += 1
-            a = abs(k.value)
-            min_abs = min(min_abs, a)
-            max_abs = max(max_abs, a)
-            if a <= 1e-6:
-                worst = max(worst, 1e-6 - a + 1.0)  # range violation dominates
-            if a >= 1e6:
-                worst = max(worst, a - 1e6)
-            ident = abs(eta(s, _CFG).value - k.value * eta(2.0 * s, _CFG).value)
-            worst = max(worst, ident)
+    for s, k in grid:
+        a = abs(k.value)
+        min_abs = min(min_abs, a)
+        max_abs = max(max_abs, a)
+        if a <= 1e-6:
+            worst = max(worst, 1e-6 - a + 1.0)  # range violation dominates
+        if a >= 1e6:
+            worst = max(worst, a - 1e6)
+        ident = abs(eta(s, _CFG).value - k.value * eta(2.0 * s, _CFG).value)
+        worst = max(worst, ident)
     details = f"|kappa| in [{min_abs:.4g}, {max_abs:.4g}]; identity residual within rounding"
-    return worst, n, details
+    return worst, len(grid), details
 
 
 def _check_kappa_realness(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    res, ims = _kappa_grid_points(cfg)
+    grid = _kappa_grid(cfg.kappa_grid)
     worst = 0.0
     arg = None
-    n = 0
-    for re in res:
-        for im in ims:
-            s = complex(re, im)
-            v = kappa(s, _CFG).value
-            n += 1
-            if abs(v.imag) > worst:
-                worst = abs(v.imag)
-                arg = s
+    for s, k in grid:
+        if abs(k.value.imag) > worst:
+            worst = abs(k.value.imag)
+            arg = s
     details = f"max |Im(kappa)| = {worst!r} at s = {arg}; the claimed codomain is real"
-    return worst, n, details
+    return worst, len(grid), details
 
 
 _CheckFunc = Callable[[RunConfig, np.random.Generator], tuple[float, int, str]]

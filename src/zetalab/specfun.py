@@ -106,7 +106,10 @@ def _sin_pi_complex(z: complex) -> complex:
     """
     c, s = _cos_sin_pi(z.real)
     y = math.pi * z.imag
-    return complex(s * math.cosh(y), c * math.sinh(y))
+    try:
+        return complex(s * math.cosh(y), c * math.sinh(y))
+    except OverflowError:
+        raise Overflow(f"sin(pi*z) exceeds the floating range at z = {z}") from None
 
 
 # ---------------------------------------------------------------------------

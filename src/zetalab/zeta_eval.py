@@ -111,8 +111,13 @@ def _cvz_weights(n: int) -> tuple[float, np.ndarray]:
 
 
 def _eta_series_bound(t_abs: float, n: int) -> float:
-    """Committed truncation bound for the accelerated eta sum."""
-    return 8.0 * (1.0 + 2.0 * t_abs) * math.exp(0.5 * math.pi * t_abs) * _CVZ_RHO ** (-n)
+    """Committed truncation bound for the accelerated eta sum; DomainError
+    once it leaves the floating range (|Im s| above about 450)."""
+    try:
+        growth = math.exp(0.5 * math.pi * t_abs)
+    except OverflowError:
+        raise DomainError(f"eta series bound overflows at height |Im s| = {t_abs}") from None
+    return 8.0 * (1.0 + 2.0 * t_abs) * growth * _CVZ_RHO ** (-n)
 
 
 def eta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:

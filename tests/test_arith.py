@@ -3,6 +3,7 @@ truncated Dirichlet series."""
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -87,6 +88,68 @@ def test_sieve_matches_bruteforce_to_1e4():
         assert table.liouville[n] == (-1) ** omega_brute(n), n
         assert abs(table.mangoldt[n] - mangoldt_brute(n)) < 1e-12, n
         assert table.sigma_paper[n] == sigma_brute(n), n
+
+
+#: largest bound the split-edge tests compare against the oracles.
+ORACLE_BOUND = 3**10 + 1
+
+
+@lru_cache(maxsize=1)
+def oracle_arrays(n: int) -> dict[str, np.ndarray]:
+    """The trial-division oracles at every index 1..n (entry 0 unused)."""
+    idx = range(1, n + 1)
+    mu = np.array([0] + [mu_brute(k) for k in idx])
+    omega = np.array([0] + [omega_brute(k) for k in idx])
+    sigma = [0] + [0 if k % 2 else int(sum(mu[d] for d in divisors(k // 2))) for k in idx]
+    return {
+        "mu": mu,
+        "big_omega": omega,
+        "liouville": np.where(omega % 2, -1, 1),
+        "mangoldt": np.array([0.0] + [mangoldt_brute(k) for k in idx]),
+        "sigma_paper": np.array(sigma),
+    }
+
+
+def assert_table_matches_oracle(n: int) -> None:
+    table = build_table(n)
+    oracle = oracle_arrays(ORACLE_BOUND)
+    for name, expected in oracle.items():
+        got = getattr(table, name)
+        assert got.shape == (n + 1,), (n, name)
+        assert np.array_equal(got[1:], expected[1 : n + 1]), (n, name)
+
+
+def test_sieve_matches_bruteforce_every_small_bound():
+    # Each bound moves isqrt(n) and isqrt(n // 2), the split points of the sieve.
+    for n in range(2, 301):
+        assert_table_matches_oracle(n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31, 97, 157])
+def test_sieve_matches_bruteforce_around_prime_squares(p):
+    for n in (p * p - 1, p * p, p * p + 1, 2 * p * p - 1, 2 * p * p, 2 * p * p + 1):
+        if n >= 2:
+            assert_table_matches_oracle(n)
+
+
+@pytest.mark.parametrize("n", [1024, 1025, 2187, 4097, 9999, 3**10, 3**10 + 1])
+def test_sieve_matches_bruteforce_at_prime_powers_and_odd_bounds(n):
+    assert_table_matches_oracle(n)
+
+
+def test_build_table_dtypes():
+    table = build_table(1000)
+    assert table.mu.dtype == np.int8
+    assert table.big_omega.dtype == np.int16
+    assert table.liouville.dtype == np.int8
+    assert table.mangoldt.dtype == np.float64
+    assert table.sigma_paper.dtype == np.int64
+
+
+def test_sigma_paper_divisor_sum_collapses_at_1e6():
+    sigma = cached_table(10**6).sigma_paper
+    assert np.flatnonzero(sigma).tolist() == [2]
+    assert sigma[2] == 1
 
 
 def test_build_table_spot_values():

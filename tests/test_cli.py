@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,16 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_one_line_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zetalab: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
 
 
 def test_eval_zeta(capsys):
@@ -60,8 +73,7 @@ def test_verify_single_json(capsys):
 
 
 def test_verify_unknown_id(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "--only", "BOGUS"])
+    assert "BOGUS" in assert_one_line_error(["verify", "--only", "BOGUS"], capsys)
 
 
 def test_verify_env_seed(monkeypatch, capsys):
@@ -99,8 +111,7 @@ def test_scan(capsys):
 
 
 def test_scan_bad_rect(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["scan", "--rect", "1,2,3", "--step", "0.1", "--quantity", "abs_zeta"])
+    assert_one_line_error(["scan", "--rect", "1,2,3", "--step", "0.1", "--quantity", "abs_zeta"], capsys)
 
 
 def test_zeros_csv(capsys):
@@ -112,3 +123,39 @@ def test_zeros_csv(capsys):
     t = float(lines[1].split(",")[0])
     assert abs(t - 14.134725) < 1e-6
     assert lines[1].split(",")[5] == "winding-confirmed"
+
+
+def test_sieve_over_budget_is_a_one_line_error(capsys):
+    err = assert_one_line_error(["sieve", "200000000", "--fn", "mu"], capsys)
+    assert "exceeds budget" in err
+
+
+def test_bad_env_seed_is_a_one_line_error(monkeypatch, capsys):
+    monkeypatch.setenv("ZETALAB_SEED", "abc")
+    err = assert_one_line_error(["verify"], capsys)
+    assert "ZETALAB_SEED" in err
+
+
+def test_cli_process_prints_no_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, ZETALAB_SEED="abc", PYTHONPATH=src)
+    for argv in (["sieve", "200000000", "--fn", "mu"], ["verify"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("zetalab: error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_eval_at_large_height_keeps_json_error(capsys):
+    code, out = run_cli(["eval", "0.5", "1000"], capsys)
+    assert code == 1
+    assert "1000" in json.loads(out)["error"]
+
+
+def test_version_has_one_source():
+    import zetalab
+    from zetalab.reporting import VERSION
+
+    assert zetalab.__version__ is VERSION == "0.1.0"

@@ -157,3 +157,33 @@ def test_grid_scan_kappa_quantities():
     csv_text = grid_scan(Rect(0.6, 0.7, 1.0, 1.1), 0.1, "im_kappa")
     lines = csv_text.strip().splitlines()
     assert len(lines) >= 2 and lines[0] == "re,im,value"
+
+
+def test_grid_scan_leaves_cells_past_the_height_limit_empty():
+    csv_text = grid_scan(Rect(-0.5, 2.0, 999.0, 1000.0), 0.5, "abs_zeta")
+    rows = [line.split(",") for line in csv_text.strip().splitlines()[1:]]
+    assert len(rows) == 6 * 3
+    for re, _, value in rows:
+        if float(re) < 2.0:
+            assert value == ""  # eta bound and reflection overflow at this height
+        else:
+            assert float(value) > 0.0
+
+
+def test_kappa_checks_share_one_grid():
+    from zetalab import kappa
+    from zetalab.harness import _kappa_grid
+
+    cfg = RunConfig(seed=3, kappa_grid=(3, 4))
+    realness = run_check("KAPPA_REALNESS", cfg)
+    misses = _kappa_grid.cache_info().misses
+    grid = run_check("EQ61_KAPPA", cfg)
+    assert _kappa_grid.cache_info().misses == misses
+    assert realness.n_samples == grid.n_samples == 12
+    direct = max(
+        abs(kappa(complex(re, im)).value.imag)
+        for re in (0.55, 0.75, 0.95)
+        for im in (0.0, 10.0, 20.0, 30.0)
+    )
+    assert realness.worst_residual == direct
+    assert grid.verdict == "pass"

@@ -147,3 +147,8 @@ def test_xi_functional_equation():
         lhs = zeta(1.0 - s).value
         rhs = xi.value * zeta(s).value
         assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
+
+
+def test_gamma_reflection_overflow_is_typed():
+    with pytest.raises(Overflow):
+        gamma(-0.5 + 500j)

@@ -17,7 +17,7 @@ from zetalab import (
     zeta_reflect,
 )
 from zetalab.arith import cached_table
-from zetalab.errors import DomainError, EtaFactorZero, PoleAtOne, QuadratureFailure
+from zetalab.errors import DomainError, EtaFactorZero, Overflow, PoleAtOne, QuadratureFailure, ZetaLabError
 from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _zeta_strip_quotient, DEFAULT_CONFIG
 
 PI2_OVER_6 = math.pi**2 / 6.0
@@ -299,3 +299,14 @@ def test_config_validation():
         EvalConfig(quadrature_tol=0.0)
     with pytest.raises(ValueError):
         EvalConfig(series_max_terms=0)
+
+
+def test_large_height_raises_typed_errors():
+    with pytest.raises(DomainError, match="1000"):
+        eta(0.5 + 1000j)
+    with pytest.raises(DomainError):
+        zeta(0.5 + 1000j)
+    with pytest.raises(ZetaLabError):
+        zeta(-0.5 + 1000j)
+    with pytest.raises(Overflow):
+        zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
