@@ -25,10 +25,12 @@ from .zeta_eval import (
     EvalConfig,
     eta,
     eta_integral,
+    eta_many,
     euler_product,
     log_deriv_zeta,
     zeta,
     zeta_floor_integral,
+    zeta_many,
     zeta_reflect,
 )
 
@@ -55,6 +57,7 @@ __all__ = [
     "emit_report",
     "eta",
     "eta_integral",
+    "eta_many",
     "euler_product",
     "find_critical_zeros",
     "gamma",
@@ -72,5 +75,6 @@ __all__ = [
     "xi_factor",
     "zeta",
     "zeta_floor_integral",
+    "zeta_many",
     "zeta_reflect",
 ]

@@ -21,15 +21,17 @@ import numpy as np
 
 from . import arith
 from .errors import ZetaLabError
-from .reflect import classify_nu, kappa, nu
+from .reflect import classify_nu, kappa, _kappa_from_eta, nu
 from .reporting import CheckResult, RunConfig
 from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
 from .zeta_eval import (
     DEFAULT_CONFIG,
-    eta,
+    _try,
+    eta_many,
     zeta,
     zeta_floor_integral,
+    zeta_many,
     zeta_reflect,
 )
 
@@ -265,12 +267,20 @@ def _check_product_identity(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 @lru_cache(maxsize=2)
-def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, EvalResult], ...]:
-    """(s, kappa(s)) over the kappa grid, re-major; shared by EQ61 and KAPPA_REALNESS."""
+def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, EvalResult, EvalResult, EvalResult], ...]:
+    """(s, eta(s), eta(2s), kappa(s)) over the kappa grid, re-major; shared
+    by EQ61 and KAPPA_REALNESS."""
     n_re, n_im = shape
     res = np.linspace(0.55, 0.95, n_re)
     ims = np.linspace(0.0, 30.0, n_im)
-    return tuple((s, kappa(s, _CFG)) for s in (complex(re, im) for re in res for im in ims))
+    points = [complex(re, im) for re in res for im in ims]
+    grid = []
+    for s, e1, e2 in zip(points, eta_many(points, _CFG), eta_many([2.0 * s for s in points], _CFG)):
+        for e in (e1, e2):
+            if isinstance(e, ZetaLabError):
+                raise e
+        grid.append((s, e1, e2, _kappa_from_eta(s, e1, e2)))
+    return tuple(grid)
 
 
 def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
@@ -278,7 +288,7 @@ def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
     worst = 0.0
     min_abs = math.inf
     max_abs = 0.0
-    for s, k in grid:
+    for s, e1, e2, k in grid:
         a = abs(k.value)
         min_abs = min(min_abs, a)
         max_abs = max(max_abs, a)
@@ -286,7 +296,7 @@ def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
             worst = max(worst, 1e-6 - a + 1.0)  # range violation dominates
         if a >= 1e6:
             worst = max(worst, a - 1e6)
-        ident = abs(eta(s, _CFG).value - k.value * eta(2.0 * s, _CFG).value)
+        ident = abs(e1.value - k.value * e2.value)
         worst = max(worst, ident)
     details = f"|kappa| in [{min_abs:.4g}, {max_abs:.4g}]; identity residual within rounding"
     return worst, len(grid), details
@@ -296,7 +306,7 @@ def _check_kappa_realness(cfg: RunConfig, rng) -> tuple[float, int, str]:
     grid = _kappa_grid(cfg.kappa_grid)
     worst = 0.0
     arg = None
-    for s, k in grid:
+    for s, _, _, k in grid:
         if abs(k.value.imag) > worst:
             worst = abs(k.value.imag)
             arg = s
@@ -373,6 +383,11 @@ def all_assertions_pass(results: list[CheckResult]) -> bool:
     return all(r.verdict != "fail" for r in results)
 
 
+def _each_kappa(points, cfg) -> list:
+    """kappa at each point, in the result-or-error list form of zeta_many."""
+    return [_try(kappa, s, cfg) for s in points]
+
+
 def grid_scan(region: Rect, step: float, quantity: str) -> str:
     """Evaluate a field on a grid over the region and return CSV rows
     re,im,value. Evaluator errors leave the value cell empty (noted in the
@@ -386,23 +401,24 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     if step <= 0.0:
         raise ValueError("step must be positive")
     evaluators = {
-        "abs_zeta": lambda s: abs(zeta(s, _CFG).value),
-        "abs_eta": lambda s: abs(eta(s, _CFG).value),
-        "abs_kappa": lambda s: abs(kappa(s, _CFG).value),
-        "im_kappa": lambda s: kappa(s, _CFG).value.imag,
+        "abs_zeta": (zeta_many, abs),
+        "abs_eta": (eta_many, abs),
+        "abs_kappa": (_each_kappa, abs),
+        "im_kappa": (_each_kappa, lambda v: v.imag),
     }
-    f = evaluators.get(quantity)
-    if f is None:
+    if quantity not in evaluators:
         raise ValueError(f"unknown quantity {quantity!r}")
+    many, pick = evaluators[quantity]
     lines = ["re,im,value"]
     res = np.arange(region.re_min, region.re_max + 0.5 * step, step)
     ims = np.arange(region.im_min, region.im_max + 0.5 * step, step)
     for re in res:
-        for im in ims:
-            s = complex(float(re), float(im))
-            try:
-                lines.append(f"{s.real!r},{s.imag!r},{float(f(s))!r}")
-            except ZetaLabError as exc:
-                logger.info("grid_scan: no value at %s: %s", s, exc)
+        # one column (fixed Re) per batch call keeps the batch arrays small
+        column = [complex(float(re), float(im)) for im in ims]
+        for s, r in zip(column, many(column, _CFG)):
+            if isinstance(r, ZetaLabError):
+                logger.info("grid_scan: no value at %s: %s", s, r)
                 lines.append(f"{s.real!r},{s.imag!r},")
+            else:
+                lines.append(f"{s.real!r},{s.imag!r},{float(pick(r.value))!r}")
     return "\n".join(lines) + "\n"

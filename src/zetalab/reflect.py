@@ -20,6 +20,7 @@ from .errors import (
 )
 from .specfun import EvalResult, _rgamma, half_cos
 from .zeta_eval import (
+    _EPS,
     DEFAULT_CONFIG,
     FACTOR_ZERO_SPACING,
     EvalConfig,
@@ -38,7 +39,6 @@ __all__ = [
     "classify_nu",
 ]
 
-_EPS = 2.220446049250313e-16
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 
 #: |zeta(s)| below this counts as "within 1e-9 of a zeta zero" for nu.
@@ -149,8 +149,11 @@ def kappa(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     cfg = cfg or DEFAULT_CONFIG
     if s.real <= 0.25:
         raise DomainError(f"kappa requires Re(s) > 1/4, got {s}")
-    e1 = eta(s, cfg)
-    e2 = eta(2.0 * s, cfg)
+    return _kappa_from_eta(s, eta(s, cfg), eta(2.0 * s, cfg))
+
+
+def _kappa_from_eta(s: complex, e1: EvalResult, e2: EvalResult) -> EvalResult:
+    """kappa(s) from e1 = eta(s) and e2 = eta(2s)."""
     if abs(e2.value) < 1e-12:
         raise EtaTwoSZero(f"|eta(2s)| = {abs(e2.value):.2e} at s = {s}")
     value = e1.value / e2.value

@@ -42,6 +42,10 @@ POLE_TOL = 1e-12
 #: half_cos raises Overflow beyond this |Im(s)| instead of returning inf.
 HALF_COS_IM_MAX = 700.0 / math.pi
 
+#: machine epsilon rounded up, as committed in the bounds of recip_gamma_euler
+#: and xi_factor.
+_EPS_BOUND = 2.3e-16
+
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
 
@@ -237,7 +241,7 @@ def recip_gamma_euler(s: complex, terms: int) -> EvalResult:
         lo = hi + 1
     value = s * prod
     # Truncation error ~ |s(s-1)|/(2 terms); rounding grows with the factor count.
-    rel = abs(s * (s - 1.0)) / terms + 4.0 * terms * 2.3e-16
+    rel = abs(s * (s - 1.0)) / terms + 4.0 * terms * _EPS_BOUND
     return EvalResult(value, rel * max(abs(value), 1e-300), "euler-product")
 
 
@@ -270,5 +274,5 @@ def xi_factor(s: complex) -> EvalResult:
     g = gamma(s)
     power = cmath.exp(-s * LOG_TWO_PI)
     value = 2.0 * g.value * power * half_cos(s)
-    rel = (g.abs_err_est / abs(g.value)) + 8.0 * 2.3e-16
+    rel = (g.abs_err_est / abs(g.value)) + 8.0 * _EPS_BOUND
     return EvalResult(value, rel * abs(value), "rational-approx")

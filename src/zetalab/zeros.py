@@ -290,6 +290,9 @@ def find_critical_zeros(
         raise ValueError("step must be in (0, 0.05]")
 
     ts = np.arange(t_min, t_max + 0.5 * step, step)
+    # one point past each end, so a zero within a step of either end is a
+    # grid minimum too; the refined t_star must still lie in the window
+    ts = np.concatenate(([ts[0] - step], ts, [ts[-1] + step]))
     mags = np.array([abs(eta(complex(0.5, t), cfg).value) for t in ts])
 
     def g(t: float) -> float:
@@ -302,6 +305,8 @@ def find_critical_zeros(
         t_star, g_star = _golden_min(g, ts[i] - step, ts[i] + step, 1e-8, 1e-10)
         if g_star >= 1e-8:
             continue  # a shallow minimum, not a zero
+        if not t_min <= t_star <= t_max:
+            continue
         if records and abs(records[-1].location.imag - t_star) < 1e-6:
             continue
         location = complex(0.5, t_star)

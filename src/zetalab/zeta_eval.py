@@ -7,6 +7,7 @@ Dispatch:
     0 < Re(s) <= 1.5   accelerated eta divided by (1 - 2^(1-s))
     Re(s) <= 0    functional equation, reflected to Re(1-s) >= 1
 
+zeta_many and eta_many evaluate lists of points through the same kernels.
 Everything here is pure and reentrant; an EvalConfig is immutable shared
 input.
 """
@@ -25,6 +26,7 @@ from .errors import (
     EtaFactorZero,
     PoleAtOne,
     QuadratureFailure,
+    ZetaLabError,
 )
 from .specfun import EvalResult, _rgamma, gamma
 
@@ -33,6 +35,8 @@ __all__ = [
     "DEFAULT_CONFIG",
     "zeta",
     "eta",
+    "zeta_many",
+    "eta_many",
     "eta_integral",
     "zeta_floor_integral",
     "euler_product",
@@ -83,17 +87,25 @@ DEFAULT_CONFIG = EvalConfig()
 
 # ---------------------------------------------------------------------------
 # Accelerated alternating series (binomial/Chebyshev weights).
+#
+# A scalar call runs a kernel on one point for 1-D terms; a batch runs it on a
+# (k, 1) column of points that share n for one row each. Rows are reduced like
+# 1-D terms (np.dot per row; `rows @ w` rounds differently) and tails stay in
+# Python complex/cmath/math, so batches match scalar calls bit for bit.
 # ---------------------------------------------------------------------------
 
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
 _LN_CVZ_RHO = math.log(_CVZ_RHO)
 _CVZ_MAX_N = 300
-_cvz_cache: dict[int, tuple[float, np.ndarray]] = {}
+_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+
+#: one batch kernel call covers about this many terms at most (rows x n).
+_BATCH_TERMS = 1 << 16
 
 
-def _cvz_weights(n: int) -> tuple[float, np.ndarray]:
-    """Signed weights c_k and normalizer d for the n-term acceleration of
-    sum_{k>=0} (-1)^k a_k."""
+def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Normalizer d, signed weights c_k and the table ln 1..ln n for the
+    n-term acceleration of sum_{k>=0} (-1)^k a_k."""
     hit = _cvz_cache.get(n)
     if hit is not None:
         return hit
@@ -106,8 +118,35 @@ def _cvz_weights(n: int) -> tuple[float, np.ndarray]:
         c = b - c
         w[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    _cvz_cache[n] = (d, w)
-    return d, w
+    _cvz_cache[n] = (d, w, np.log(np.arange(1.0, n + 1.0)))
+    return _cvz_cache[n]
+
+
+def _try(f, *args):
+    """f(*args), or the ZetaLabError it raises."""
+    try:
+        return f(*args)
+    except ZetaLabError as exc:
+        return exc
+
+
+def _batch(pts: list[complex], plans: list, kernel, finish) -> list:
+    """Run kernel(column, n) once per block of points that share n, where
+    plans[i] is (n, bound) for pts[i] or its error, and finish each row as
+    finish(s, n, bound, *row)."""
+    out = list(plans)
+    groups: dict[int, list[int]] = {}
+    for i, plan in enumerate(plans):
+        if not isinstance(plan, ZetaLabError):
+            groups.setdefault(plan[0], []).append(i)
+    for n, members in groups.items():
+        size = max(1, _BATCH_TERMS // n)
+        for lo in range(0, len(members), size):
+            block = members[lo : lo + size]
+            column = np.array([pts[i] for i in block])[:, None]
+            for i, *row in zip(block, *kernel(column, n)):
+                out[i] = finish(pts[i], *plans[i], *row)
+    return out
 
 
 def _eta_series_bound(t_abs: float, n: int) -> float:
@@ -120,6 +159,34 @@ def _eta_series_bound(t_abs: float, n: int) -> float:
     return 8.0 * (1.0 + 2.0 * t_abs) * growth * _CVZ_RHO ** (-n)
 
 
+def _eta_plan(s: complex, cfg: EvalConfig) -> tuple[int, float]:
+    """Term count n for eta(s) and the truncation bound at n."""
+    if not cmath.isfinite(s):
+        raise DomainError(f"eta requires a finite argument, got {s}")
+    if s.real <= 0.0:
+        raise DomainError(f"eta requires Re(s) > 0, got {s}")
+    t = abs(s.imag)
+    target = 0.5 * cfg.target_abs_err
+    n = math.ceil((math.log(8.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - math.log(target)) / _LN_CVZ_RHO) + 2
+    n = min(max(n, 8), _CVZ_MAX_N)
+    return n, _eta_series_bound(t, n)
+
+
+def _eta_kernel(s, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terms k^-a cos(b ln k) and k^-a sin(b ln k), k = 1..n, s = a + ib."""
+    lm = _cvz_weights(n)[2]
+    amp = np.exp(-s.real * lm)
+    return amp * np.cos(s.imag * lm), amp * np.sin(s.imag * lm)
+
+
+def _eta_result(s: complex, n: int, bound: float, cos_terms: np.ndarray, sin_terms: np.ndarray) -> EvalResult:
+    d, w, _ = _cvz_weights(n)
+    re = float(np.dot(w, cos_terms)) / d
+    im = -float(np.dot(w, sin_terms)) / d
+    value = complex(re, im)
+    return EvalResult(value, bound + 5e-14 * (1.0 + abs(value)), "accelerated-eta")
+
+
 def eta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     """Dirichlet eta via accelerated alternating summation.
 
@@ -128,29 +195,26 @@ def eta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     of the result is bit-exact.
 
     Args:
-        s: point with Re(s) > 0.
+        s: finite point with Re(s) > 0.
         cfg: evaluation parameters (defaults shared).
 
     Raises:
-        DomainError: if Re(s) <= 0.
+        DomainError: if Re(s) <= 0 or s is not finite.
     """
     s = complex(s)
+    n, bound = _eta_plan(s, cfg or DEFAULT_CONFIG)
+    return _eta_result(s, n, bound, *_eta_kernel(s, n))
+
+
+def eta_many(points, cfg: EvalConfig | None = None) -> list[EvalResult | ZetaLabError]:
+    """eta at each point, batched over the points that share a term count.
+
+    Returns one entry per point, in order: the EvalResult eta(s) returns
+    (the same value, bound and method), or the ZetaLabError it raises.
+    """
     cfg = cfg or DEFAULT_CONFIG
-    alpha, beta = s.real, s.imag
-    if alpha <= 0.0:
-        raise DomainError(f"eta requires Re(s) > 0, got {s}")
-    t = abs(beta)
-    target = 0.5 * cfg.target_abs_err
-    n = math.ceil((math.log(8.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - math.log(target)) / _LN_CVZ_RHO) + 2
-    n = min(max(n, 8), _CVZ_MAX_N)
-    d, w = _cvz_weights(n)
-    lm = np.log(np.arange(1.0, n + 1.0))
-    amp = np.exp(-alpha * lm)
-    re = float(np.dot(w, amp * np.cos(beta * lm))) / d
-    im = -float(np.dot(w, amp * np.sin(beta * lm))) / d
-    value = complex(re, im)
-    err = _eta_series_bound(t, n) + 5e-14 * (1.0 + abs(value))
-    return EvalResult(value, err, "accelerated-eta")
+    pts = [complex(p) for p in points]
+    return _batch(pts, [_try(_eta_plan, s, cfg) for s in pts], _eta_kernel, _eta_result)
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +241,33 @@ _EM_COEF = tuple(b / math.factorial(2 * (j + 1)) for j, b in enumerate(_EM_BERNO
 _EM_ORDER = 12  # correction terms used; _EM_COEF[12] bounds the remainder
 
 
-def _em_remainder_bound(s: complex, n: int) -> float:
+def _em_remainder_bound(s: complex, poch_abs: float, n: int) -> float:
+    """Remainder bound at head length n, with poch_abs = prod_{i<=24} |s + i|."""
     sigma = s.real
-    p = 1.0
-    for i in range(2 * _EM_ORDER + 1):
-        p *= abs(s + i)
-    p *= n ** (-sigma - 2 * _EM_ORDER - 1)
+    p = poch_abs * n ** (-sigma - 2 * _EM_ORDER - 1)
     return abs(_EM_COEF[_EM_ORDER]) * p * (abs(s) + 2 * _EM_ORDER + 1) / (sigma + 2 * _EM_ORDER + 1)
 
 
-def _zeta_em(s: complex, cfg: EvalConfig) -> EvalResult:
+def _em_plan(s: complex, cfg: EvalConfig) -> tuple[int, float]:
+    """Head length n for zeta(s) and the remainder bound at n."""
     target = 0.5 * cfg.target_abs_err
+    poch_abs = math.prod([abs(s + i) for i in range(2 * _EM_ORDER + 1)])
     n = max(16, int(0.75 * abs(s.imag)) + 8)
-    while _em_remainder_bound(s, n) > target and n < 1 << 20:
+    bound = _em_remainder_bound(s, poch_abs, n)
+    while bound > target and n < 1 << 20:
         n *= 2
-    bound = _em_remainder_bound(s, n)
+        bound = _em_remainder_bound(s, poch_abs, n)
+    return n, bound
 
-    m = np.arange(1.0, n)
-    head = complex(np.sum(np.exp(-s * np.log(m))))
+
+def _em_kernel(s, n: int) -> tuple[np.ndarray]:
+    """The head sum_{m<n} m^-s, as the 1-tuple of rows that _batch unpacks."""
+    return (np.sum(np.exp(-s * np.log(np.arange(1.0, n))), axis=-1),)
+
+
+def _em_result(s: complex, n: int, bound: float, head) -> EvalResult:
     npow = cmath.exp(-s * math.log(n))
-    value = head + npow * n / (s - 1.0) + 0.5 * npow
+    value = complex(head) + npow * n / (s - 1.0) + 0.5 * npow
     poch = s
     scale = npow / n
     for j in range(1, _EM_ORDER + 1):
@@ -207,7 +278,7 @@ def _zeta_em(s: complex, cfg: EvalConfig) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# Strip route and dispatch.
+# Strip route, reflection and dispatch.
 # ---------------------------------------------------------------------------
 
 
@@ -217,11 +288,45 @@ def _nearest_factor_zero(s: complex) -> tuple[int, float]:
     return k, abs(s - complex(1.0, k * FACTOR_ZERO_SPACING))
 
 
-def _zeta_strip_quotient(s: complex, cfg: EvalConfig) -> EvalResult:
-    e = eta(s, cfg)
+def _route(s: complex) -> str:
+    """zeta's dispatch region: 'em', 'strip', 'average' (next to a factor
+    zero), 'origin' or 'reflect'; raises where zeta has no value."""
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta requires a finite argument, got {s}")
+    if abs(s - 1.0) < 1e-12:
+        raise PoleAtOne(f"zeta pole at s = 1 (got {s})")
+    sigma = s.real
+    if sigma > 1.5:
+        return "em"
+    if sigma > 0.0:
+        k, dist = _nearest_factor_zero(s)
+        if k != 0:
+            if dist < FACTOR_ZERO_RAISE:
+                raise EtaFactorZero(f"{s} within {dist:.2e} of eta-factor zero k={k}")
+            if dist < FACTOR_ZERO_AVERAGE:
+                return "average"
+        return "strip"
+    return "origin" if abs(s) < 1e-12 else "reflect"
+
+
+def _strip_result(s: complex, e: EvalResult) -> EvalResult:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) from e = eta(s)."""
     factor = 1.0 - cmath.exp((1.0 - s) * LN2)
     value = e.value / factor
     err = (e.abs_err_est + 4.0 * _EPS * abs(e.value)) / abs(factor) + 4.0 * _EPS * abs(value)
+    return EvalResult(value, err, "accelerated-eta")
+
+
+def _zeta_strip_quotient(s: complex, cfg: EvalConfig) -> EvalResult:
+    return _strip_result(s, eta(s, cfg))
+
+
+def _zeta_average(s: complex, cfg: EvalConfig) -> EvalResult:
+    # 4-point mean at radius 1e-6: the probes stay clear of the factor zero
+    # while the analytic average matches zeta(s) to O(radius^4).
+    probes = [_zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off, cfg) for off in (1.0, 1.0j, -1.0, -1.0j)]
+    value = sum(p.value for p in probes) / 4.0
+    err = max(p.abs_err_est for p in probes) + FACTOR_ZERO_RADIUS**4
     return EvalResult(value, err, "accelerated-eta")
 
 
@@ -229,42 +334,73 @@ def zeta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     """Riemann zeta with region dispatch; the method tag records the route.
 
     Args:
-        s: any complex number except s = 1 (simple pole).
+        s: any finite complex number except s = 1 (simple pole).
         cfg: evaluation parameters.
 
     Raises:
         PoleAtOne: within 1e-12 of s = 1.
         EtaFactorZero: within 1e-9 of 1 + 2*pi*k*i/ln 2, k != 0, where the
             eta quotient degenerates.
+        DomainError: s is not finite.
     """
     s = complex(s)
     cfg = cfg or DEFAULT_CONFIG
-    if abs(s - 1.0) < 1e-12:
-        raise PoleAtOne(f"zeta pole at s = 1 (got {s})")
-    sigma = s.real
-    if sigma > 1.5:
-        return _zeta_em(s, cfg)
-    if sigma > 0.0:
-        k, dist = _nearest_factor_zero(s)
-        if k != 0:
-            if dist < FACTOR_ZERO_RAISE:
-                raise EtaFactorZero(f"{s} within {dist:.2e} of eta-factor zero k={k}")
-            if dist < FACTOR_ZERO_AVERAGE:
-                # 4-point mean at radius 1e-6: the probes stay clear of the
-                # factor zero while the analytic average matches zeta(s) to
-                # O(radius^4).
-                probes = [
-                    _zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off, cfg)
-                    for off in (1.0, 1.0j, -1.0, -1.0j)
-                ]
-                value = sum(p.value for p in probes) / 4.0
-                err = max(p.abs_err_est for p in probes) + FACTOR_ZERO_RADIUS**4
-                return EvalResult(value, err, "accelerated-eta")
+    route = _route(s)
+    if route == "em":
+        n, bound = _em_plan(s, cfg)
+        return _em_result(s, n, bound, *_em_kernel(s, n))
+    if route == "strip":
         return _zeta_strip_quotient(s, cfg)
-    if abs(s) < 1e-12:
+    if route == "average":
+        return _zeta_average(s, cfg)
+    if route == "origin":
         # Limit value at the origin; zeta varies by ~0.92*|s| nearby.
         return EvalResult(complex(-0.5, 0.0), 1e-12, "functional-equation")
     return zeta_reflect(s, cfg)
+
+
+def zeta_many(points, cfg: EvalConfig | None = None) -> list[EvalResult | ZetaLabError]:
+    """zeta at each point, batched by route and term count.
+
+    Returns one entry per point, in order: the EvalResult zeta(s) returns
+    (the same value, bound and method), or the ZetaLabError it raises.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    pts = [complex(p) for p in points]
+    out = [_try(_route, s) for s in pts]
+    em, strip, reflect = ([i for i, r in enumerate(out) if r == route] for route in ("em", "strip", "reflect"))
+    for i, r in enumerate(out):
+        if r in ("average", "origin"):
+            out[i] = _try(zeta, pts[i], cfg)  # rare routes take the scalar path
+        elif r == "reflect":
+            out[i] = _try(_reflect_gammas, pts[i])
+    em_pts = [pts[i] for i in em]
+    for i, r in zip(em, _batch(em_pts, [_em_plan(s, cfg) for s in em_pts], _em_kernel, _em_result)):
+        out[i] = r
+    for i, e in zip(strip, eta_many([pts[i] for i in strip], cfg)):
+        out[i] = e if isinstance(e, ZetaLabError) else _strip_result(pts[i], e)
+    reflect = [i for i in reflect if not isinstance(out[i], ZetaLabError)]
+    for i, z1 in zip(reflect, zeta_many([1.0 - pts[i] for i in reflect], cfg) if reflect else []):
+        out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_result(pts[i], *out[i], z1)
+    return out
+
+
+def _reflect_gammas(s: complex) -> tuple[EvalResult, complex]:
+    """Gamma((1-s)/2) and 1/Gamma(s/2); their errors come before those of
+    the inner zeta(1-s)."""
+    return gamma((1.0 - s) / 2.0), _rgamma(s / 2.0)
+
+
+def _reflect_result(s: complex, g1: EvalResult, rg: complex, z1: EvalResult) -> EvalResult:
+    pre = cmath.exp((s - 0.5) * LN_PI)
+    value = pre * g1.value * rg * z1.value
+    g_rel = g1.abs_err_est / abs(g1.value)
+    z_rel = z1.abs_err_est / max(abs(z1.value), 1e-300)
+    err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)
+    if value == 0.0:
+        # exact zero from the reciprocal-Gamma factor
+        err = abs(pre * g1.value * z1.value) * 1e-15
+    return EvalResult(value, err, "functional-equation")
 
 
 def zeta_reflect(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
@@ -280,18 +416,7 @@ def zeta_reflect(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     cfg = cfg or DEFAULT_CONFIG
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta_reflect undefined at s = 1")
-    g1 = gamma((1.0 - s) / 2.0)
-    rg = _rgamma(s / 2.0)
-    z1 = zeta(1.0 - s, cfg)
-    pre = cmath.exp((s - 0.5) * LN_PI)
-    value = pre * g1.value * rg * z1.value
-    g_rel = g1.abs_err_est / abs(g1.value)
-    z_rel = z1.abs_err_est / max(abs(z1.value), 1e-300)
-    err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)
-    if value == 0.0:
-        # exact zero from the reciprocal-Gamma factor
-        err = abs(pre * g1.value * z1.value) * 1e-15
-    return EvalResult(value, err, "functional-equation")
+    return _reflect_result(s, *_reflect_gammas(s), zeta(1.0 - s, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -187,3 +187,51 @@ def test_kappa_checks_share_one_grid():
     )
     assert realness.worst_residual == direct
     assert grid.verdict == "pass"
+
+
+@pytest.mark.parametrize("quantity", ["abs_zeta", "abs_eta"])
+def test_grid_scan_matches_scalar_reference(quantity):
+    import numpy as np
+
+    from zetalab import eta, zeta
+    from zetalab.errors import ZetaLabError
+
+    scalar = {"abs_zeta": zeta, "abs_eta": eta}[quantity]
+    # Re -1..2 covers the reflected, strip and EM routes, the origin and the
+    # pole at s = 1; Im up to 453 passes the height where the eta bound and
+    # the reflection overflow.
+    region, step = Rect(-1.0, 2.0, 0.0, 453.0), 0.5
+    lines = ["re,im,value"]
+    for re in np.arange(region.re_min, region.re_max + 0.5 * step, step):
+        for im in np.arange(region.im_min, region.im_max + 0.5 * step, step):
+            s = complex(float(re), float(im))
+            try:
+                lines.append(f"{s.real!r},{s.imag!r},{float(abs(scalar(s).value))!r}")
+            except ZetaLabError:
+                lines.append(f"{s.real!r},{s.imag!r},")
+    expected = "\n".join(lines) + "\n"
+    assert grid_scan(region, step, quantity) == expected
+    rows = [line.split(",") for line in lines[1:]]
+    if quantity == "abs_zeta":
+        assert ["1.0", "0.0", ""] in rows  # the pole cell
+        assert ["0.5", "453.0", ""] in rows and ["-1.0", "453.0", ""] in rows
+        assert float(dict(((r[0], r[1]), r[2]) for r in rows)[("2.0", "453.0")]) > 0.0
+
+
+def test_kappa_grid_residual_matches_scalar_evaluation():
+    import numpy as np
+
+    from zetalab import eta, kappa
+
+    cfg = RunConfig(seed=5, kappa_grid=(3, 5))
+    worst, lo, hi = 0.0, math.inf, 0.0
+    for re in np.linspace(0.55, 0.95, 3):
+        for im in np.linspace(0.0, 30.0, 5):
+            s = complex(re, im)
+            k = kappa(s).value
+            lo, hi = min(lo, abs(k)), max(hi, abs(k))
+            worst = max(worst, abs(eta(s).value - k * eta(2.0 * s).value))
+    r = run_check("EQ61_KAPPA", cfg)
+    assert r.worst_residual == worst
+    assert r.n_samples == 15
+    assert r.details == f"|kappa| in [{lo:.4g}, {hi:.4g}]; identity residual within rounding"

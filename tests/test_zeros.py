@@ -78,6 +78,21 @@ def test_find_critical_zeros_empty_window():
     assert find_critical_zeros(1.0, 10.0, 0.01) == []
 
 
+@pytest.mark.parametrize("t_min, t_max", [(10.0, 14.1349), (14.13, 16.0)])
+def test_find_critical_zeros_near_either_end(t_min, t_max):
+    # the zero at 14.134725 lies within one grid step of the window's end
+    records = find_critical_zeros(t_min, t_max, 0.01)
+    assert len(records) == count_zeros_rect(Rect(0.0, 1.0, t_min, t_max)) == 1
+    assert abs(records[0].location.imag - 14.134725) < 1e-6
+    assert records[0].method == "winding-confirmed"
+
+
+@pytest.mark.parametrize("t_min, t_max", [(10.0, 14.1347), (14.1348, 16.0)])
+def test_find_critical_zeros_skips_zero_just_outside(t_min, t_max):
+    assert find_critical_zeros(t_min, t_max, 0.01) == []
+    assert count_zeros_rect(Rect(0.0, 1.0, t_min, t_max)) == 0
+
+
 def test_find_critical_zeros_validation():
     with pytest.raises(ValueError):
         find_critical_zeros(10.0, 5.0, 0.01)

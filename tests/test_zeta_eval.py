@@ -310,3 +310,85 @@ def test_large_height_raises_typed_errors():
         zeta(-0.5 + 1000j)
     with pytest.raises(Overflow):
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
+
+
+def _outcome(f, s):
+    try:
+        return f(s)
+    except ZetaLabError as exc:
+        return exc
+
+
+def _batch_sweep_points() -> list[complex]:
+    """Seeded points over all three dispatch regions up to |Im s| = 700,
+    plus the points where zeta or eta raises or takes a special branch."""
+    rng = np.random.default_rng(17)
+    boxes = [(1.5, 6.0), (0.0, 1.5), (-6.0, 0.0)]
+    pts = []
+    for i in range(3000):
+        lo, hi = boxes[i % 3]
+        height = 700.0 if i % 2 else 50.0
+        pts.append(complex(rng.uniform(lo, hi), rng.uniform(-height, height)))
+    factor_zero = complex(1.0, FACTOR_ZERO_SPACING)
+    pts += [1.0, 1.0 + 5e-13j, 0j, 1e-13, 1.5, 1.5 + 3.0j, -2.0, -4.0, -10.0, 2.0, 0.3]
+    pts += [factor_zero + 1e-10, factor_zero + 3e-7, factor_zero.conjugate() + 2e-7j]
+    pts += [0.5 + 1000j, -0.5 + 600j, -0.5 + 1000j, 0.5 + 452.5j, 3.0 + 700j]
+    pts += [complex(math.nan, 1.0), complex(0.5, math.inf), complex(math.inf, 0.0), complex(-math.inf, 2.0)]
+    return pts
+
+
+@pytest.mark.parametrize("fn", ["zeta", "eta"])
+def test_batch_matches_scalar(fn):
+    import zetalab
+
+    scalar, many = getattr(zetalab, fn), getattr(zetalab, f"{fn}_many")
+    pts = _batch_sweep_points()
+    batch = many(pts)
+    assert len(batch) == len(pts)
+    n_errors = 0
+    for s, got in zip(pts, batch):
+        want = _outcome(scalar, s)
+        if isinstance(want, ZetaLabError):
+            n_errors += 1
+            assert type(got) is type(want) and str(got) == str(want), s
+        else:
+            assert got == want, s  # value, abs_err_est and method, exactly
+            assert type(got.value) is complex and type(got.abs_err_est) is float
+    assert 0 < n_errors < len(pts)
+
+
+def test_batch_special_points():
+    from zetalab import zeta_many
+
+    s_avg = complex(1.0, FACTOR_ZERO_SPACING) + 3e-7
+    res = zeta_many([1.0, 0j, -2.0, s_avg, complex(1.0, FACTOR_ZERO_SPACING) + 1e-10, -0.5 + 600j])
+    assert isinstance(res[0], PoleAtOne)
+    assert res[1].value == -0.5 and res[1].method == "functional-equation"
+    assert res[2].value == 0.0
+    assert res[3] == zeta(s_avg) and res[3].method == "accelerated-eta"
+    assert isinstance(res[4], EtaFactorZero)
+    assert isinstance(res[5], Overflow)  # the Gamma factors fail before the inner zeta
+    assert zeta_many([]) == []
+
+
+NON_FINITE = [
+    complex(0.5, math.inf),
+    complex(math.nan, 1.0),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 2.0),
+    complex(2.0, math.nan),
+    complex(math.nan, math.nan),
+]
+
+
+@pytest.mark.parametrize("s", NON_FINITE)
+def test_non_finite_input_raises_domain_error(s):
+    from zetalab import eta_many, zeta_many
+
+    with pytest.raises(DomainError, match="finite"):
+        zeta(s)
+    with pytest.raises(DomainError, match="finite"):
+        eta(s)
+    for res in (zeta_many([s, 2.0]), eta_many([s, 2.0])):
+        assert isinstance(res[0], DomainError) and "finite" in str(res[0])
+        assert isinstance(res[1].value, complex)
