@@ -119,35 +119,38 @@ def build_table(n: int) -> ArithTable:
     has_large = rest > 1
     del rest
     omega += has_large
-    np.negative(mu, out=mu, where=has_large)
+    mu *= 1 - 2 * has_large.view(np.int8)
     del has_large
     large = primes[n_small:]
     mangoldt[large] = np.fromiter(map(math.log, large), dtype=np.float64, count=large.size)
 
-    liouville = np.where(omega & 1, -1, 1).astype(np.int8)
+    liouville = 1 - 2 * (omega & 1).astype(np.int8)
     liouville[0] = 0
 
-    # Divisor sum over every pair d | m <= n // 2, accumulated at sigma[2m]:
-    # strided by d up to r = isqrt(n // 2), then by the cofactor k for d > r.
+    # the divisor sum of mu over m = n/2, accumulated at sigma[n]
     sigma = np.zeros(n + 1, dtype=np.int64)
-    divsum = sigma[::2]
-    half = n // 2
-    r = math.isqrt(half)
-    for d in range(1, r + 1):
-        divsum[d::d] += mu[d]
-    for k in range(1, half // (r + 1) + 1):
-        hi = half // k
-        divsum[k * (r + 1) : k * hi + 1 : k] += mu[r + 1 : hi + 1]
+    _add_divisor_sums(mu, sigma[::2])
 
     _construction_checks(n, mu, omega, liouville)
     return ArithTable(n, mu, omega, liouville, mangoldt, sigma)
 
 
+def _add_divisor_sums(mu: np.ndarray, out: np.ndarray) -> None:
+    """out[m] += sum_{d | m} mu[d] for m = 1..len(out) - 1: strided by d up
+    to r = isqrt(m) where mu[d] != 0, then by the cofactor k for d > r."""
+    m = out.size - 1
+    r = math.isqrt(m)
+    for d in (np.flatnonzero(mu[1 : r + 1]) + 1).tolist():
+        out[d::d] += mu[d]
+    for k in range(1, m // (r + 1) + 1):
+        hi = m // k
+        out[k * (r + 1) : k * hi + 1 : k] += mu[r + 1 : hi + 1]
+
+
 def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: np.ndarray) -> None:
     limit = min(n, SELF_CHECK_LIMIT)
     divsum = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        divsum[d::d] += mu[d]
+    _add_divisor_sums(mu, divsum)
     if divsum[1] != 1 or np.any(divsum[2:]):
         raise AssertionError("Mobius divisor-sum invariant failed at construction")
     if mu[1] != 1 or np.any(liouville[1:] != np.where(omega[1:] & 1, -1, 1)):

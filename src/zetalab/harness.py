@@ -43,6 +43,8 @@ _CFG = DEFAULT_CONFIG
 
 #: reference ordinates of the first critical-line zeros used by several checks.
 _FIRST_ZERO_TS = (14.134725, 21.022040, 25.010858)
+#: table bound of the Dirichlet series checks EQ54, EQ56 and EQ58.
+_SERIES_BOUND = 1_000_000
 
 
 def _rng_for(seed: int, check_id: str) -> np.random.Generator:
@@ -232,35 +234,37 @@ def _check_funceq(cfg: RunConfig, rng) -> tuple[float, int, str]:
     return worst, len(pts), "residual of the symmetric functional equation in the strip"
 
 
+@lru_cache(maxsize=2)
+def _cube_series(bound: int) -> tuple[float, float]:
+    """(sum lambda(n) n^-3, sum sigma(n) n^-3) over the table up to bound;
+    shared by EQ54, EQ56 and EQ58."""
+    table = arith.cached_table(bound)
+    pw = np.arange(1.0, bound + 1.0) ** -3.0
+    lam = float(np.dot(table.liouville[1:].astype(np.float64), pw))
+    return lam, float(np.dot(table.sigma_paper[1:].astype(np.float64), pw))
+
+
 def _check_liouville(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    table = arith.cached_table(1_000_000)
-    n = np.arange(1.0, table.bound + 1.0)
-    series = float(np.dot(table.liouville[1:].astype(np.float64), n**-3.0))
+    series, _ = _cube_series(_SERIES_BOUND)
     target = (zeta(6.0, _CFG).value / zeta(3.0, _CFG).value).real
     resid = abs(series - target)
-    return resid, table.bound, f"sum lambda(n) n^-3 = {series!r} vs zeta(6)/zeta(3) = {target!r}"
+    return resid, _SERIES_BOUND, f"sum lambda(n) n^-3 = {series!r} vs zeta(6)/zeta(3) = {target!r}"
 
 
 def _check_sigma_series(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    table = arith.cached_table(1_000_000)
-    n = np.arange(1.0, table.bound + 1.0)
-    series = float(np.dot(table.sigma_paper[1:].astype(np.float64), n**-3.0))
+    _, series = _cube_series(_SERIES_BOUND)
     claimed = (zeta(3.0, _CFG).value / zeta(6.0, _CFG).value).real
     resid = abs(series - claimed)
-    return resid, table.bound, (
+    return resid, _SERIES_BOUND, (
         f"sum sigma(n) n^-3 = {series!r} (single surviving term 2^-3); "
         f"the claimed value zeta(3)/zeta(6) = {claimed!r} differs"
     )
 
 
 def _check_product_identity(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    table = arith.cached_table(1_000_000)
-    n = np.arange(1.0, table.bound + 1.0)
-    pw = n**-3.0
-    lam = float(np.dot(table.liouville[1:].astype(np.float64), pw))
-    sig = float(np.dot(table.sigma_paper[1:].astype(np.float64), pw))
+    lam, sig = _cube_series(_SERIES_BOUND)
     resid = abs(lam * sig - 1.0)
-    return resid, table.bound, (
+    return resid, _SERIES_BOUND, (
         f"(sum lambda n^-3)(sum sigma n^-3) = {lam * sig!r}; "
         "the claimed product is 1"
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Overflow, PoleAtNonPositiveInteger
+from .errors import DomainError, Overflow, PoleAtNonPositiveInteger
 
 __all__ = [
     "EvalResult",
@@ -192,8 +192,11 @@ def gamma(s: complex) -> EvalResult:
     Raises:
         PoleAtNonPositiveInteger: if s sits on (or within 1e-12 of) a pole.
         Overflow: if the reflection path overflows the floating range.
+        DomainError: s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"gamma requires a finite argument, got {s}")
     if _nearest_nonpositive_integer(s) is not None:
         raise PoleAtNonPositiveInteger(f"gamma pole at or near {s}")
     value = _gamma_value(s)

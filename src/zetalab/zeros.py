@@ -10,6 +10,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     ZetaLabError,
 )
 from .reporting import CheckResult
-from .zeta_eval import DEFAULT_CONFIG, EvalConfig, eta, zeta
+from .zeta_eval import DEFAULT_CONFIG, EvalConfig, _eta_plan, eta, eta_many, zeta, zeta_many
 
 __all__ = [
     "Rect",
@@ -43,6 +44,8 @@ _INDENT_RADIUS = 1e-2
 _BOUNDARY_ZETA_FLOOR = 5e-7
 
 _MAX_SUBDIVISION_DEPTH = 48
+#: points per eta_many/zeta_many call; larger blocks add memory, not speed.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,23 @@ def _clip_segment_outside_circle(
     return pieces
 
 
+def _values(many, points, cfg: EvalConfig):
+    """Values of many(block, cfg), _BLOCK points per call, in point order;
+    raises the first ZetaLabError where a scalar loop over points would."""
+    points = iter(points)
+    while block := list(islice(points, _BLOCK)):
+        for r in many(block, cfg):
+            if isinstance(r, ZetaLabError):
+                raise r
+            yield r.value
+
+
+def _above_floor(z: complex, val: complex) -> complex:
+    if abs(val) < _BOUNDARY_ZETA_FLOOR:
+        raise BoundaryTooCloseToZero(f"|zeta| = {abs(val):.2e} at boundary point {z}; zero too close")
+    return val
+
+
 def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
     """Closed counterclockwise waypoint loop, with a clockwise indentation
     arc around the pole s = 1 whenever it hugs the boundary."""
@@ -205,15 +225,7 @@ def count_zeros_rect(
 
     waypoints = _boundary_waypoints(r, samples_per_edge)
 
-    def f(z: complex) -> complex:
-        val = zeta(z, cfg).value
-        if abs(val) < _BOUNDARY_ZETA_FLOOR:
-            raise BoundaryTooCloseToZero(
-                f"|zeta| = {abs(val):.2e} at boundary point {z}; zero too close"
-            )
-        return val
-
-    values = [f(z) for z in waypoints]
+    values = [_above_floor(z, v) for z, v in zip(waypoints, _values(zeta_many, waypoints, cfg))]
 
     total = 0.0
     budget = [400_000]
@@ -230,7 +242,7 @@ def count_zeros_rect(
         if budget[0] <= 0:
             raise BoundaryTooCloseToZero("winding refinement budget exhausted")
         zm = 0.5 * (z1 + z2)
-        fm = f(zm)
+        fm = _above_floor(zm, zeta(zm, cfg).value)
         return accumulate(z1, zm, f1, fm, depth + 1) + accumulate(zm, z2, fm, f2, depth + 1)
 
     for i in range(len(waypoints) - 1):
@@ -282,6 +294,9 @@ def find_critical_zeros(
 
     Returns:
         ZeroRecords sorted by t; empty when the window holds no zero.
+
+    Raises:
+        DomainError: the grid reaches above eta's height limit (about 451.86).
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < t_min < t_max):
@@ -289,11 +304,13 @@ def find_critical_zeros(
     if not (0.0 < step <= 0.05):
         raise ValueError("step must be in (0, 0.05]")
 
+    # eta's own height limit, at the top grid point, before the grid exists
+    _eta_plan(complex(0.5, t_min + float(np.ceil((t_max + 0.5 * step - t_min) / step)) * step), cfg)
     ts = np.arange(t_min, t_max + 0.5 * step, step)
     # one point past each end, so a zero within a step of either end is a
     # grid minimum too; the refined t_star must still lie in the window
     ts = np.concatenate(([ts[0] - step], ts, [ts[-1] + step]))
-    mags = np.array([abs(eta(complex(0.5, t), cfg).value) for t in ts])
+    mags = np.array([abs(v) for v in _values(eta_many, (complex(0.5, t) for t in ts), cfg)])
 
     def g(t: float) -> float:
         return abs(eta(complex(0.5, t), cfg).value)
@@ -381,7 +398,7 @@ def check_line_zeros(line_re: float, t_max: float, cfg: EvalConfig | None = None
 
     start = time.perf_counter()
     ts = np.arange(0.002, t_max, 0.05)
-    mags = np.array([abs(zeta(complex(line_re, t), cfg).value) for t in ts])
+    mags = np.array([abs(v) for v in _values(zeta_many, (complex(line_re, t) for t in ts), cfg)])
     min_idx = int(np.argmin(mags))
     observed_min = float(mags[min_idx])
     residual = max(0.0, 1e-3 - observed_min)

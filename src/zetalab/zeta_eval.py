@@ -410,10 +410,12 @@ def zeta_reflect(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
 
     used to continue zeta to Re(s) < 0 and as a residual check elsewhere.
     The denominator Gamma is applied as a reciprocal, so its poles become
-    exact zeros of the result.
+    exact zeros of the result. A non-finite s raises DomainError.
     """
     s = complex(s)
     cfg = cfg or DEFAULT_CONFIG
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta_reflect requires a finite argument, got {s}")
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta_reflect undefined at s = 1")
     return _reflect_result(s, *_reflect_gammas(s), zeta(1.0 - s, cfg))

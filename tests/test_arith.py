@@ -10,6 +10,7 @@ import pytest
 
 from zetalab import CoeffSeq, build_table, dirichlet_convolve, dirichlet_series, sigma_paper
 from zetalab.arith import (
+    _construction_checks,
     cached_table,
     delta_seq,
     g_paper_seq,
@@ -150,6 +151,25 @@ def test_sigma_paper_divisor_sum_collapses_at_1e6():
     sigma = cached_table(10**6).sigma_paper
     assert np.flatnonzero(sigma).tolist() == [2]
     assert sigma[2] == 1
+
+
+@pytest.mark.parametrize("d, value", [(6, 0), (4, 1), (9973, 0)])
+def test_construction_checks_catch_a_corrupted_mu(d, value):
+    # d = 4 and 6 lie at or below sqrt(10^4), 9973 above it
+    table = build_table(10**4)
+    _construction_checks(table.bound, table.mu, table.big_omega, table.liouville)
+    mu = table.mu.copy()
+    mu[d] = value
+    with pytest.raises(AssertionError, match="Mobius divisor-sum"):
+        _construction_checks(table.bound, mu, table.big_omega, table.liouville)
+
+
+def test_construction_checks_catch_a_corrupted_liouville():
+    table = build_table(10**4)
+    liouville = table.liouville.copy()
+    liouville[12] = 1
+    with pytest.raises(AssertionError, match="liouville/omega"):
+        _construction_checks(table.bound, table.mu, table.big_omega, liouville)
 
 
 def test_build_table_spot_values():

@@ -159,3 +159,8 @@ def test_version_has_one_source():
     from zetalab.reporting import VERSION
 
     assert zetalab.__version__ is VERSION == "0.1.0"
+
+
+def test_zeros_above_the_supported_height_is_a_one_line_error(capsys):
+    err = assert_one_line_error(["zeros", "--tmin", "10", "--tmax", "1e9", "--step", "0.01"], capsys)
+    assert "height" in err

@@ -235,3 +235,21 @@ def test_kappa_grid_residual_matches_scalar_evaluation():
     assert r.worst_residual == worst
     assert r.n_samples == 15
     assert r.details == f"|kappa| in [{lo:.4g}, {hi:.4g}]; identity residual within rounding"
+
+
+def test_series_checks_do_not_depend_on_order():
+    from zetalab.harness import _cube_series
+
+    cfg = RunConfig(seed=7)
+    inside = {r.id: r for r in run_all(cfg)}
+    _cube_series.cache_clear()
+    alone = run_check("EQ58_PRODUCT", cfg)
+    assert _cube_series.cache_info().misses == 1
+    for check_id in ("EQ54_LIOUVILLE", "EQ56_SIGMA", "EQ58_PRODUCT"):
+        r = alone if check_id == "EQ58_PRODUCT" else run_check(check_id, cfg)
+        assert (r.worst_residual, r.n_samples, r.details) == (
+            inside[check_id].worst_residual,
+            inside[check_id].n_samples,
+            inside[check_id].details,
+        )
+    assert _cube_series.cache_info().misses == 1

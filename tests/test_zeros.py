@@ -1,5 +1,6 @@
 """Winding census, critical-line zero location, multiplicity, line checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,21 @@ from zetalab import (
     ZeroRecord,
     check_line_zeros,
     count_zeros_rect,
+    eta,
     find_critical_zeros,
     multiplicity,
     zeta,
 )
-from zetalab.errors import BoundaryTooCloseToZero, EvaluationFailure
+from zetalab import zeros
+from zetalab.errors import (
+    BoundaryTooCloseToZero,
+    DomainError,
+    EtaFactorZero,
+    EvaluationFailure,
+    ZetaLabError,
+)
+from zetalab.specfun import EvalResult
+from zetalab.zeta_eval import DEFAULT_CONFIG, FACTOR_ZERO_SPACING, _try
 
 
 def test_rect_validation():
@@ -170,6 +181,108 @@ def test_line_checks_validation():
         check_line_zeros(0.5, 40.0)
     with pytest.raises(ValueError):
         check_line_zeros(1, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# The batched consumers against scalar loops.
+# ---------------------------------------------------------------------------
+
+
+def _use_scalar_calls(monkeypatch):
+    """Run the zeros module on scalar eta/zeta loops instead of batches."""
+    for name, f in (("eta_many", eta), ("zeta_many", zeta)):
+        monkeypatch.setattr(zeros, name, lambda points, cfg, f=f: [_try(f, p, cfg) for p in points])
+
+
+@pytest.mark.parametrize("t_min, t_max", [(10.0, 30.0), (100.0, 110.0)])
+def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
+    batched = [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
+    _use_scalar_calls(monkeypatch)
+    assert batched == [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
+    assert len(batched) == {10.0: 3, 100.0: 4}[t_min]
+
+
+@pytest.mark.parametrize(
+    "rect", [Rect(0.0, 1.0, 0.0, 30.0), Rect(-3.0, 2.0, -5.0, 5.0), Rect(1.0, 2.0, 0.0, 1.0)]
+)
+def test_census_batched_matches_scalar(monkeypatch, rect):
+    # the last rectangle has the pole s = 1 at a corner, so it is indented
+    batched = count_zeros_rect(rect)
+    _use_scalar_calls(monkeypatch)
+    assert count_zeros_rect(rect) == batched
+
+
+@pytest.mark.parametrize("line_re", [0, 1])
+def test_line_check_batched_matches_scalar(monkeypatch, line_re):
+    batched = check_line_zeros(line_re, 40.0)
+    _use_scalar_calls(monkeypatch)
+    scalar = check_line_zeros(line_re, 40.0)
+    assert (batched.worst_residual, batched.n_samples, batched.details) == (
+        scalar.worst_residual,
+        scalar.n_samples,
+        scalar.details,
+    )
+
+
+def _scalar_census_error(r: Rect) -> ZetaLabError:
+    """The error the scalar loop over the initial waypoints raises first."""
+    for z in zeros._boundary_waypoints(r, 256):
+        try:
+            val = zeta(z).value
+        except ZetaLabError as exc:
+            return exc
+        if abs(val) < zeros._BOUNDARY_ZETA_FLOOR:
+            return BoundaryTooCloseToZero(f"|zeta| = {abs(val):.2e} at boundary point {z}; zero too close")
+    raise AssertionError("the scalar loop raised nothing")
+
+
+def test_census_errors_match_the_scalar_loop():
+    t0 = find_critical_zeros(14.0, 14.3, 0.01)[0].location.imag
+    through_zero = Rect(0.3, 0.7, 13.5, t0)
+    # a corner on the zero 1 + 2*pi*i/ln 2 of the eta quotient's denominator
+    through_factor_pole = Rect(1.0, 2.0, FACTOR_ZERO_SPACING, 10.0)
+    for r, kind in ((through_zero, BoundaryTooCloseToZero), (through_factor_pole, EtaFactorZero)):
+        expected = _scalar_census_error(r)
+        assert type(expected) is kind
+        with pytest.raises(kind) as exc:
+            count_zeros_rect(r)
+        assert str(exc.value) == str(expected)
+
+
+@pytest.mark.parametrize("first, second", [(3, 5), (5, 3)])
+def test_first_failure_in_point_order_wins(first, second):
+    # a value under the boundary floor at one point, an evaluator error at
+    # the other, both in one block: whichever comes first is raised
+    points = [complex(0.5, k) for k in range(20)]
+
+    def many(block, cfg):
+        out = []
+        for p in block:
+            k = int(p.imag)
+            if k == first:
+                out.append(EvalResult(1e-9, 0.0, "accelerated-eta"))
+            elif k == second:
+                out.append(EtaFactorZero(f"fault at {k}"))
+            else:
+                out.append(EvalResult(1.0, 0.0, "accelerated-eta"))
+        return out
+
+    seen = []
+    with pytest.raises((BoundaryTooCloseToZero, EtaFactorZero)) as exc:
+        for z, v in zip(points, zeros._values(many, points, DEFAULT_CONFIG)):
+            seen.append(zeros._above_floor(z, v))
+    assert len(seen) == min(first, second)
+    assert type(exc.value) is (BoundaryTooCloseToZero if first < second else EtaFactorZero)
+
+
+@pytest.mark.parametrize("t_max", [460.0, 1e15, math.inf])
+def test_find_critical_zeros_checks_the_height_before_the_grid(monkeypatch, t_max):
+    def no_grid(points, cfg):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(zeros, "eta_many", no_grid)
+    with pytest.raises(DomainError):
+        find_critical_zeros(10.0, t_max, 0.01)
 
 
 def test_mertens_inequality_seeded():

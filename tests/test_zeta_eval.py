@@ -11,7 +11,9 @@ from zetalab import (
     eta,
     eta_integral,
     euler_product,
+    gamma,
     log_deriv_zeta,
+    xi_factor,
     zeta,
     zeta_floor_integral,
     zeta_reflect,
@@ -392,3 +394,7 @@ def test_non_finite_input_raises_domain_error(s):
     for res in (zeta_many([s, 2.0]), eta_many([s, 2.0])):
         assert isinstance(res[0], DomainError) and "finite" in str(res[0])
         assert isinstance(res[1].value, complex)
+    for f in (gamma, zeta_reflect, xi_factor):
+        with pytest.raises(DomainError, match="finite"):
+            f(s)
+
