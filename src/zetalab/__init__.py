@@ -11,7 +11,6 @@ from .arith import (
     CoeffSeq,
     build_table,
     dirichlet_convolve,
-    dirichlet_series,
     sigma_paper,
 )
 from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_check
@@ -20,26 +19,12 @@ from .reporting import VERSION as __version__
 from .reporting import CheckResult, RunConfig, emit_report
 from .specfun import EvalResult, gamma, half_cos, recip_gamma_euler, xi_factor
 from .zeros import Rect, ZeroRecord, check_line_zeros, count_zeros_rect, find_critical_zeros, multiplicity
-from .zeta_eval import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    eta,
-    eta_integral,
-    eta_many,
-    euler_product,
-    log_deriv_zeta,
-    zeta,
-    zeta_floor_integral,
-    zeta_many,
-    zeta_reflect,
-)
+from .zeta_eval import eta, eta_many, euler_product, zeta, zeta_floor_integral, zeta_many, zeta_reflect
 
 __all__ = [
     "ArithTable",
     "CheckResult",
     "CoeffSeq",
-    "DEFAULT_CONFIG",
-    "EvalConfig",
     "EvalResult",
     "NuClassification",
     "REGISTRY",
@@ -53,10 +38,8 @@ __all__ = [
     "conj_ratio",
     "count_zeros_rect",
     "dirichlet_convolve",
-    "dirichlet_series",
     "emit_report",
     "eta",
-    "eta_integral",
     "eta_many",
     "euler_product",
     "find_critical_zeros",
@@ -64,7 +47,6 @@ __all__ = [
     "grid_scan",
     "half_cos",
     "kappa",
-    "log_deriv_zeta",
     "multiplicity",
     "nu",
     "recip_gamma_euler",

@@ -1,5 +1,5 @@
-"""Integer arithmetic functions, sieves, the Dirichlet convolution engine,
-and truncated Dirichlet-series evaluation.
+"""Integer arithmetic functions, sieves, and the Dirichlet convolution
+engine.
 
 Sieve conventions: Omega counts prime factors with multiplicity and
 Omega(1) = 0, so liouville(1) = 1; mangoldt(n) = ln p iff n = p^k;
@@ -10,14 +10,12 @@ literally (the divisor-sum oracle shows this collapses to [n == 2]).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundMismatch, CapacityError, DomainError
-from .specfun import EvalResult
+from .errors import BoundMismatch, CapacityError
 
 __all__ = [
     "ArithTable",
@@ -26,13 +24,10 @@ __all__ = [
     "cached_table",
     "sigma_paper",
     "dirichlet_convolve",
-    "dirichlet_series",
     "primes_upto",
     "delta_seq",
     "one_seq",
     "mu_seq",
-    "liouville_seq",
-    "sigma_paper_seq",
     "g_paper_seq",
 ]
 
@@ -246,14 +241,6 @@ def mu_seq(table: ArithTable) -> CoeffSeq:
     return CoeffSeq(table.mu.astype(np.float64))
 
 
-def liouville_seq(table: ArithTable) -> CoeffSeq:
-    return CoeffSeq(table.liouville.astype(np.float64))
-
-
-def sigma_paper_seq(table: ArithTable) -> CoeffSeq:
-    return CoeffSeq(table.sigma_paper.astype(np.float64))
-
-
 def g_paper_seq(table: ArithTable) -> CoeffSeq:
     """Coefficients read literally from 1/zeta(2s) = sum mu(n) (2n)^(-s):
     g[m] = mu(m/2) for even m, else 0."""
@@ -284,43 +271,3 @@ def dirichlet_convolve(f: CoeffSeq, g: CoeffSeq) -> CoeffSeq:
         m = n // d
         out[d :: d] += fd * gc[1 : m + 1]
     return CoeffSeq(out)
-
-
-def dirichlet_series(f: CoeffSeq, s: complex) -> EvalResult:
-    """Truncated Dirichlet series sum_{n<=N} f(n) n^(-s).
-
-    Guaranteed convergent for Re(s) > 1; permitted with a RuntimeWarning for
-    0 < Re(s) <= 1 (used by finding-class checks). The tail estimate uses the
-    integral comparison with |f(n)| bounded by the largest stored coefficient.
-
-    Raises:
-        DomainError: when Re(s) <= 0.
-    """
-    s = complex(s)
-    sigma = s.real
-    if sigma <= 0.0:
-        raise DomainError(f"dirichlet_series requires Re(s) > 0, got {s}")
-    if sigma <= 1.0:
-        warnings.warn(
-            f"dirichlet_series at Re(s) = {sigma} is outside the guaranteed "
-            "convergence region Re(s) > 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    n = f.bound
-    m = np.arange(1.0, n + 1.0)
-    amp = f.coeffs[1:] * m ** (-s.real)
-    if s.imag == 0.0:
-        terms = amp
-        value = complex(float(np.sum(amp)))
-    else:
-        lm = np.log(m)
-        terms = amp * (np.cos(s.imag * lm) - 1j * np.sin(s.imag * lm))
-        value = complex(np.sum(terms))
-    coeff_bound = max(1.0, float(np.max(np.abs(f.coeffs))))
-    if sigma > 1.0:
-        tail = coeff_bound * n ** (1.0 - sigma) / (sigma - 1.0)
-    else:
-        tail = math.inf
-    err = tail + 2e-15 * float(np.sum(np.abs(terms))) * math.log2(n + 2.0)
-    return EvalResult(value, err, "direct-series")

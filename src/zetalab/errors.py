@@ -29,10 +29,6 @@ class DomainError(ZetaLabError):
     """Argument outside the operation's convergence/validity region."""
 
 
-class QuadratureFailure(ZetaLabError):
-    """Adaptive refinement exhausted its budget before reaching tolerance."""
-
-
 class CapacityError(ZetaLabError):
     """Requested sieve bound exceeds the configured memory budget."""
 

@@ -25,21 +25,11 @@ from .reflect import classify_nu, kappa, _kappa_from_eta, nu
 from .reporting import CheckResult, RunConfig
 from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import (
-    DEFAULT_CONFIG,
-    _try,
-    eta_many,
-    zeta,
-    zeta_floor_integral,
-    zeta_many,
-    zeta_reflect,
-)
+from .zeta_eval import _try, eta_many, zeta, zeta_floor_integral, zeta_many, zeta_reflect
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
 logger = logging.getLogger(__name__)
-
-_CFG = DEFAULT_CONFIG
 
 #: reference ordinates of the first critical-line zeros used by several checks.
 _FIRST_ZERO_TS = (14.134725, 21.022040, 25.010858)
@@ -60,7 +50,7 @@ def _sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-
         im = rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
         s = complex(re, im)
         try:
-            if abs(zeta(s, _CFG).value) < min_abs_zeta:
+            if abs(zeta(s).value) < min_abs_zeta:
                 continue
         except ZetaLabError:
             continue
@@ -105,8 +95,8 @@ def _check_symmetry(cfg: RunConfig, rng) -> tuple[float, int, str]:
             samples.append(complex(re, im))
     for s in samples:
         try:
-            a = zeta(s.conjugate(), _CFG).value
-            b = zeta(s, _CFG).value.conjugate()
+            a = zeta(s.conjugate()).value
+            b = zeta(s).value.conjugate()
         except ZetaLabError:
             continue
         worst = max(worst, abs(a - b))
@@ -121,9 +111,9 @@ def _check_nu_critline(cfg: RunConfig, rng) -> tuple[float, int, str]:
         t = rng.uniform(1.0, 30.0)
         s = complex(0.5, t)
         try:
-            if abs(zeta(s, _CFG).value) < 1e-3:
+            if abs(zeta(s).value) < 1e-3:
                 continue  # zero neighborhood
-            worst = max(worst, abs(nu(s, _CFG).value - 1.0))
+            worst = max(worst, abs(nu(s).value - 1.0))
         except ZetaLabError:
             continue
         count += 1
@@ -132,7 +122,7 @@ def _check_nu_critline(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 def _check_nu_zeros(cfg: RunConfig, rng) -> tuple[float, int, str]:
     points = [0.0, -2.0, -4.0, -6.0, -8.0]
-    results = classify_nu([complex(p) for p in points], _CFG)
+    results = classify_nu([complex(p) for p in points])
     kinds = {c.point.real: c.kind for c in results}
     bad = [p for p in points if kinds[p] != "zero"]
     if bad:
@@ -144,8 +134,8 @@ def _check_nu_zeros(cfg: RunConfig, rng) -> tuple[float, int, str]:
 def _check_nu_poles(cfg: RunConfig, rng) -> tuple[float, int, str]:
     poles = [1.0, 3.0, 5.0, 7.0, 9.0]
     regular = [-1.0, -3.0, -5.0, -7.0]
-    res_p = classify_nu([complex(p) for p in poles], _CFG)
-    res_r = classify_nu([complex(p) for p in regular], _CFG)
+    res_p = classify_nu([complex(p) for p in poles])
+    res_r = classify_nu([complex(p) for p in regular])
     bad_p = [c.point.real for c in res_p if c.kind != "pole"]
     bad_r = [c.point.real for c in res_r if c.kind != "regular"]
     n = len(poles) + len(regular)
@@ -156,10 +146,10 @@ def _check_nu_poles(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 def _check_zero_reflection(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    zeros = find_critical_zeros(10.0, 30.0, 0.02, _CFG)
+    zeros = find_critical_zeros(10.0, 30.0, 0.02)
     if len(zeros) != 3:
         return math.inf, len(zeros), f"expected 3 zeros below t=30, found {len(zeros)}"
-    worst = max(abs(zeta(1.0 - z.location.conjugate(), _CFG).value) for z in zeros)
+    worst = max(abs(zeta(1.0 - z.location.conjugate()).value) for z in zeros)
     return worst, len(zeros), "|zeta(1 - conj(rho))| at each located zero"
 
 
@@ -168,9 +158,9 @@ def _check_pole(cfg: RunConfig, rng) -> tuple[float, int, str]:
     worst = 0.0
     for s in pts:
         if s.real > 1.0:
-            val = zeta_floor_integral(s, _CFG).value
+            val = zeta_floor_integral(s).value
         else:
-            val = zeta(s, _CFG).value
+            val = zeta(s).value
         worst = max(worst, abs((s - 1.0) * val - 1.0))
     return worst, len(pts), "(s-1) * zeta(s) -> 1 approaching the simple pole"
 
@@ -185,12 +175,12 @@ def _check_euler_bound(cfg: RunConfig, rng) -> tuple[float, int, str]:
         beta = rng.uniform(0.0, 30.0)
         s = complex(alpha, beta)
         lower = math.exp(-float(np.sum(np.exp(-alpha * log_p))))
-        worst = max(worst, lower - abs(zeta(s, _CFG).value))
+        worst = max(worst, lower - abs(zeta(s).value))
     return max(worst, 0.0), n, "exp(-sum p^-alpha) lower bound on |zeta|"
 
 
 def _check_trivial_zeros(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    worst = max(abs(zeta(complex(-2.0 * k), _CFG).value) for k in range(1, 6))
+    worst = max(abs(zeta(complex(-2.0 * k)).value) for k in range(1, 6))
     return worst, 5, "|zeta(-2k)| for k = 1..5"
 
 
@@ -203,7 +193,7 @@ def _check_mertens(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 def _check_w_inequality(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    f = lambda z: zeta(z, _CFG).value
+    f = lambda z: zeta(z).value
     worst = -math.inf
     vals = []
     for beta in _FIRST_ZERO_TS[:2]:
@@ -218,18 +208,17 @@ def _check_w_inequality(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 def _check_lines(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    r1 = check_line_zeros(1, cfg.line_t_max, _CFG)
-    r0 = check_line_zeros(0, cfg.line_t_max, _CFG)
-    worst = max(r0.worst_residual, r1.worst_residual)
-    return worst, r0.n_samples + r1.n_samples, f"{r1.details} | {r0.details}"
+    worst1, n1, details1 = check_line_zeros(1, cfg.line_t_max)
+    worst0, n0, details0 = check_line_zeros(0, cfg.line_t_max)
+    return max(worst0, worst1), n0 + n1, f"{details1} | {details0}"
 
 
 def _check_funceq(cfg: RunConfig, rng) -> tuple[float, int, str]:
     pts = _sample_away_from_zeros(rng, 100, 0.05, 0.95, 0.5, 30.0)
     worst = 0.0
     for s in pts:
-        lhs = zeta(s, _CFG).value
-        rhs = zeta_reflect(s, _CFG).value
+        lhs = zeta(s).value
+        rhs = zeta_reflect(s).value
         worst = max(worst, abs(lhs - rhs))
     return worst, len(pts), "residual of the symmetric functional equation in the strip"
 
@@ -246,14 +235,14 @@ def _cube_series(bound: int) -> tuple[float, float]:
 
 def _check_liouville(cfg: RunConfig, rng) -> tuple[float, int, str]:
     series, _ = _cube_series(_SERIES_BOUND)
-    target = (zeta(6.0, _CFG).value / zeta(3.0, _CFG).value).real
+    target = (zeta(6.0).value / zeta(3.0).value).real
     resid = abs(series - target)
     return resid, _SERIES_BOUND, f"sum lambda(n) n^-3 = {series!r} vs zeta(6)/zeta(3) = {target!r}"
 
 
 def _check_sigma_series(cfg: RunConfig, rng) -> tuple[float, int, str]:
     _, series = _cube_series(_SERIES_BOUND)
-    claimed = (zeta(3.0, _CFG).value / zeta(6.0, _CFG).value).real
+    claimed = (zeta(3.0).value / zeta(6.0).value).real
     resid = abs(series - claimed)
     return resid, _SERIES_BOUND, (
         f"sum sigma(n) n^-3 = {series!r} (single surviving term 2^-3); "
@@ -279,7 +268,7 @@ def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, EvalResult, Eval
     ims = np.linspace(0.0, 30.0, n_im)
     points = [complex(re, im) for re in res for im in ims]
     grid = []
-    for s, e1, e2 in zip(points, eta_many(points, _CFG), eta_many([2.0 * s for s in points], _CFG)):
+    for s, e1, e2 in zip(points, eta_many(points), eta_many([2.0 * s for s in points])):
         for e in (e1, e2):
             if isinstance(e, ZetaLabError):
                 raise e
@@ -387,9 +376,9 @@ def all_assertions_pass(results: list[CheckResult]) -> bool:
     return all(r.verdict != "fail" for r in results)
 
 
-def _each_kappa(points, cfg) -> list:
+def _each_kappa(points) -> list:
     """kappa at each point, in the result-or-error list form of zeta_many."""
-    return [_try(kappa, s, cfg) for s in points]
+    return [_try(kappa, s) for s in points]
 
 
 def grid_scan(region: Rect, step: float, quantity: str) -> str:
@@ -419,7 +408,7 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     for re in res:
         # one column (fixed Re) per batch call keeps the batch arrays small
         column = [complex(float(re), float(im)) for im in ims]
-        for s, r in zip(column, many(column, _CFG)):
+        for s, r in zip(column, many(column)):
             if isinstance(r, ZetaLabError):
                 logger.info("grid_scan: no value at %s: %s", s, r)
                 lines.append(f"{s.real!r},{s.imag!r},")

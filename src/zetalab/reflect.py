@@ -19,15 +19,7 @@ from .errors import (
     ZetaLabError,
 )
 from .specfun import EvalResult, _rgamma, half_cos
-from .zeta_eval import (
-    _EPS,
-    DEFAULT_CONFIG,
-    FACTOR_ZERO_SPACING,
-    EvalConfig,
-    LN2,
-    eta,
-    zeta,
-)
+from .zeta_eval import _EPS, FACTOR_ZERO_SPACING, LN2, eta, zeta
 
 __all__ = [
     "NuClassification",
@@ -59,9 +51,12 @@ def conj_ratio(u: float, v: float) -> complex:
 
     Raises:
         ZeroInput: when u = v = 0.
+        DomainError: u or v is not finite.
     """
     u = float(u)
     v = float(v)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError(f"conj_ratio requires finite arguments, got ({u}, {v})")
     if u == 0.0 and v == 0.0:
         raise ZeroInput("conj_ratio undefined at (0, 0)")
     scale = max(abs(u), abs(v))
@@ -71,7 +66,7 @@ def conj_ratio(u: float, v: float) -> complex:
     return complex((un * un - vn * vn) / den, -2.0 * un * vn / den)
 
 
-def nu(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def nu(s: complex) -> EvalResult:
     """Reflection factor nu with zeta(s) = nu(s) * zeta(1 - conj(s)).
 
     Computed from the inverted product form
@@ -88,10 +83,9 @@ def nu(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
         NearZeroOfZeta: where |zeta(s)| is too small to condition the ratio.
     """
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
     if abs(s - 1.0) < 1e-9:
         raise NearPole(f"nu degenerates at the zeta pole, got {s}")
-    z = zeta(s, cfg)
+    z = zeta(s)
     if abs(z.value) < _ZETA_ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta({s})| = {abs(z.value):.2e} too small for nu")
     sb = s.conjugate()
@@ -105,12 +99,11 @@ def nu(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     return EvalResult(value, err, "functional-equation")
 
 
-def nu_direct(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def nu_direct(s: complex) -> EvalResult:
     """Secondary route nu(s) = zeta(s) / zeta(1 - conj(s)), for cross-checks."""
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
-    num = zeta(s, cfg)
-    den = zeta(1.0 - s.conjugate(), cfg)
+    num = zeta(s)
+    den = zeta(1.0 - s.conjugate())
     if abs(den.value) < _ZETA_ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta(1 - conj(s))| too small at s = {s}")
     value = num.value / den.value
@@ -123,8 +116,11 @@ def theta(s: complex) -> EvalResult:
 
     Raises:
         DenominatorZero: within 1e-9 of a zero of (1 - 2^(1-s)).
+        DomainError: s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"theta requires a finite argument, got {s}")
     k = round(s.imag / FACTOR_ZERO_SPACING)
     if abs(s - complex(1.0, k * FACTOR_ZERO_SPACING)) < 1e-9:
         raise DenominatorZero(f"theta denominator vanishes near {s}")
@@ -135,7 +131,7 @@ def theta(s: complex) -> EvalResult:
     return EvalResult(value, err, "rational-approx")
 
 
-def kappa(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def kappa(s: complex) -> EvalResult:
     """Strip factor kappa(s) = eta(s) / eta(2s), defined for Re(s) > 1/4.
 
     The imaginary part of the result is reported as a finding metric by the
@@ -146,10 +142,9 @@ def kappa(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
         EtaTwoSZero: when |eta(2s)| vanishes to working precision.
     """
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
     if s.real <= 0.25:
         raise DomainError(f"kappa requires Re(s) > 1/4, got {s}")
-    return _kappa_from_eta(s, eta(s, cfg), eta(2.0 * s, cfg))
+    return _kappa_from_eta(s, eta(s), eta(2.0 * s))
 
 
 def _kappa_from_eta(s: complex, e1: EvalResult, e2: EvalResult) -> EvalResult:
@@ -176,10 +171,9 @@ class NuClassification:
     low_confidence: bool = False
 
 
-def classify_nu(points: list[complex], cfg: EvalConfig | None = None) -> list[NuClassification]:
+def classify_nu(points: list[complex]) -> list[NuClassification]:
     """Classify each real-axis point as a zero, pole, or regular point of nu
     by probing |nu| at offsets 1e-2, 1e-3, 1e-4 with monotonicity voting."""
-    cfg = cfg or DEFAULT_CONFIG
     out = []
     for p in points:
         p = complex(p)
@@ -187,7 +181,7 @@ def classify_nu(points: list[complex], cfg: EvalConfig | None = None) -> list[Nu
         failed = False
         for off in PROBE_OFFSETS:
             try:
-                mags.append(abs(nu(p + off, cfg).value))
+                mags.append(abs(nu(p + off).value))
             except ZetaLabError:
                 failed = True
                 break

@@ -49,7 +49,6 @@ class RunConfig:
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
     kappa_grid: tuple[int, int] = (40, 40)
     line_t_max: float = 40.0
-    out_path: str | None = None
 
 
 def _result_dict(r: CheckResult) -> dict:

@@ -225,8 +225,13 @@ def recip_gamma_euler(s: complex, terms: int) -> EvalResult:
 
     Returns:
         EvalResult tagged 'euler-product'.
+
+    Raises:
+        DomainError: s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"recip_gamma_euler requires a finite argument, got {s}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
@@ -258,8 +263,11 @@ def half_cos(s: complex) -> complex:
     Raises:
         Overflow: when |Im(s)| > 700/pi, where cosh would leave the range
             the invariants are asserted on.
+        DomainError: s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"half_cos requires a finite argument, got {s}")
     if abs(s.imag) > HALF_COS_IM_MAX:
         raise Overflow(f"half_cos overflow guard: |Im(s)| = {abs(s.imag)}")
     c, sn = _cos_sin_pi_half(s.real)

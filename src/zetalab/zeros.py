@@ -1,6 +1,6 @@
 """Zero location and counting: argument-principle census over rectangles,
 critical-line zero finding on |eta(1/2 + it)|, the multiplicity functional
-w(f, a) = lim Re[eps * f'(a+eps)/f(a+eps)], and the zero-free line checks.
+w(f, a) = lim Re[eps * f'(a+eps)/f(a+eps)], and the zero-free line scans.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import time
 from dataclasses import dataclass
 from itertools import islice
 
@@ -20,8 +19,7 @@ from .errors import (
     NonIntegerWinding,
     ZetaLabError,
 )
-from .reporting import CheckResult
-from .zeta_eval import DEFAULT_CONFIG, EvalConfig, _eta_plan, eta, eta_many, zeta, zeta_many
+from .zeta_eval import _eta_plan, eta, eta_many, zeta, zeta_many
 
 __all__ = [
     "Rect",
@@ -134,12 +132,12 @@ def _clip_segment_outside_circle(
     return pieces
 
 
-def _values(many, points, cfg: EvalConfig):
-    """Values of many(block, cfg), _BLOCK points per call, in point order;
+def _values(many, points):
+    """Values of many(block), _BLOCK points per call, in point order;
     raises the first ZetaLabError where a scalar loop over points would."""
     points = iter(points)
     while block := list(islice(points, _BLOCK)):
-        for r in many(block, cfg):
+        for r in many(block):
             if isinstance(r, ZetaLabError):
                 raise r
             yield r.value
@@ -190,9 +188,7 @@ def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
     return waypoints
 
 
-def count_zeros_rect(
-    r: Rect, samples_per_edge: int = 256, cfg: EvalConfig | None = None
-) -> int:
+def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     """Zeros minus poles of zeta inside r, by the accumulated argument change
     of zeta along the discretized boundary divided by 2*pi.
 
@@ -204,7 +200,6 @@ def count_zeros_rect(
     Args:
         r: the rectangle; its boundary must clear every zero by 1e-6.
         samples_per_edge: base discretization, >= 64.
-        cfg: zeta evaluation parameters.
 
     Raises:
         BoundaryTooCloseToZero: boundary within clearance of a zero, or the
@@ -212,7 +207,6 @@ def count_zeros_rect(
         NonIntegerWinding: accumulated winding farther than 0.1 from an
             integer.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if samples_per_edge < 64:
         raise ValueError("samples_per_edge must be >= 64")
 
@@ -225,7 +219,7 @@ def count_zeros_rect(
 
     waypoints = _boundary_waypoints(r, samples_per_edge)
 
-    values = [_above_floor(z, v) for z, v in zip(waypoints, _values(zeta_many, waypoints, cfg))]
+    values = [_above_floor(z, v) for z, v in zip(waypoints, _values(zeta_many, waypoints))]
 
     total = 0.0
     budget = [400_000]
@@ -242,7 +236,7 @@ def count_zeros_rect(
         if budget[0] <= 0:
             raise BoundaryTooCloseToZero("winding refinement budget exhausted")
         zm = 0.5 * (z1 + z2)
-        fm = _above_floor(zm, zeta(zm, cfg).value)
+        fm = _above_floor(zm, zeta(zm).value)
         return accumulate(z1, zm, f1, fm, depth + 1) + accumulate(zm, z2, fm, f2, depth + 1)
 
     for i in range(len(waypoints) - 1):
@@ -281,9 +275,7 @@ def _golden_min(g, a: float, b: float, f_tol: float, x_tol: float) -> tuple[floa
     return (c, gc) if gc <= gd else (d, gd)
 
 
-def find_critical_zeros(
-    t_min: float, t_max: float, step: float, cfg: EvalConfig | None = None
-) -> list[ZeroRecord]:
+def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRecord]:
     """Scan |eta(1/2 + it)| on a grid, refine local minima by golden section,
     confirm candidates by a winding count on a 0.2 x 0.2 square, and attach
     a multiplicity estimate.
@@ -298,22 +290,21 @@ def find_critical_zeros(
     Raises:
         DomainError: the grid reaches above eta's height limit (about 451.86).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
     if not (0.0 < step <= 0.05):
         raise ValueError("step must be in (0, 0.05]")
 
     # eta's own height limit, at the top grid point, before the grid exists
-    _eta_plan(complex(0.5, t_min + float(np.ceil((t_max + 0.5 * step - t_min) / step)) * step), cfg)
+    _eta_plan(complex(0.5, t_min + float(np.ceil((t_max + 0.5 * step - t_min) / step)) * step))
     ts = np.arange(t_min, t_max + 0.5 * step, step)
     # one point past each end, so a zero within a step of either end is a
     # grid minimum too; the refined t_star must still lie in the window
     ts = np.concatenate(([ts[0] - step], ts, [ts[-1] + step]))
-    mags = np.array([abs(v) for v in _values(eta_many, (complex(0.5, t) for t in ts), cfg)])
+    mags = np.array([abs(v) for v in _values(eta_many, (complex(0.5, t) for t in ts))])
 
     def g(t: float) -> float:
-        return abs(eta(complex(0.5, t), cfg).value)
+        return abs(eta(complex(0.5, t)).value)
 
     records = []
     for i in range(1, len(ts) - 1):
@@ -330,11 +321,11 @@ def find_critical_zeros(
         method = "minimum-refinement"
         try:
             square = Rect(0.4, 0.6, t_star - 0.1, t_star + 0.1)
-            if count_zeros_rect(square, 64, cfg) == 1:
+            if count_zeros_rect(square, 64) == 1:
                 method = "winding-confirmed"
         except ZetaLabError as exc:
             logger.warning("winding confirmation failed at t=%.6f: %s", t_star, exc)
-        mult = multiplicity(lambda z: zeta(z, cfg).value, location, 1e-4)
+        mult = multiplicity(lambda z: zeta(z).value, location, 1e-4)
         records.append(ZeroRecord(location, g_star, mult, method))
     return sorted(records, key=lambda rec: rec.location.imag)
 
@@ -381,43 +372,34 @@ def multiplicity(f, a: complex, eps: float) -> float:
     return 2.0 * w2 - w1
 
 
-def check_line_zeros(line_re: float, t_max: float, cfg: EvalConfig | None = None) -> CheckResult:
-    """Verify min |zeta| along Re(s) = 0 or Re(s) = 1 stays above the 1e-3
-    floor (excluding 1e-3 neighborhoods of s = 0 and s = 1); on the zero
-    line additionally pins zeta(0) = -1/2.
+def check_line_zeros(line_re: float, t_max: float) -> tuple[float, int, str]:
+    """Measure how far min |zeta| along Re(s) = 0 or Re(s) = 1 falls below
+    the 1e-3 floor (excluding 1e-3 neighborhoods of s = 0 and s = 1); on
+    the zero line also measure |zeta(0) + 1/2|.
 
     Args:
         line_re: 0 or 1.
         t_max: scan height, <= 50.
+
+    Returns:
+        (worst_residual, n_samples, details); the residual is 0 when the
+        line stays above the floor and zeta(0) = -1/2 holds exactly.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if line_re not in (0, 1):
         raise ValueError("line_re must be 0 or 1")
     if t_max > 50.0:
         raise ValueError("t_max must be <= 50")
 
-    start = time.perf_counter()
     ts = np.arange(0.002, t_max, 0.05)
-    mags = np.array([abs(v) for v in _values(zeta_many, (complex(line_re, t) for t in ts), cfg)])
+    mags = np.array([abs(v) for v in _values(zeta_many, (complex(line_re, t) for t in ts))])
     min_idx = int(np.argmin(mags))
     observed_min = float(mags[min_idx])
     residual = max(0.0, 1e-3 - observed_min)
     details = f"min |zeta({int(line_re)}+it)| = {observed_min:.6g} at t = {ts[min_idx]:.4f}"
     n = len(ts)
     if line_re == 0:
-        at_zero = abs(zeta(0.0, cfg).value - (-0.5))
+        at_zero = abs(zeta(0.0).value - (-0.5))
         residual = max(residual, at_zero)
         details += f"; |zeta(0) + 1/2| = {at_zero:.3g}"
         n += 1
-    tolerance = 1e-10
-    duration = int((time.perf_counter() - start) * 1000)
-    verdict = "pass" if residual <= tolerance else "fail"
-    return CheckResult(
-        id=f"SEC5_LINE_RE{int(line_re)}",
-        verdict=verdict,
-        worst_residual=residual,
-        tolerance=tolerance,
-        n_samples=n,
-        details=details,
-        duration_ms=duration,
-    )
+    return residual, n, details

@@ -1,47 +1,36 @@
-"""Evaluation of zeta(s) and eta(s) everywhere via region dispatch, plus the
-alternative representations (floor integral, eta integral, Euler product,
-Mangoldt series) used as independent cross-checks.
+"""Evaluation of zeta(s) and eta(s) everywhere via region dispatch, plus
+the floor integral and the Euler product, reference routes that the
+cross-checks compare zeta against.
 
 Dispatch:
     Re(s) > 1.5   direct series with an Euler-Maclaurin tail
     0 < Re(s) <= 1.5   accelerated eta divided by (1 - 2^(1-s))
     Re(s) <= 0    functional equation, reflected to Re(1-s) >= 1
 
-zeta_many and eta_many evaluate lists of points through the same kernels.
-Everything here is pure and reentrant; an EvalConfig is immutable shared
-input.
+The series routes size themselves for one fixed absolute error target,
+_TARGET_ABS_ERR = 1e-12. zeta_many and eta_many evaluate lists of points
+through the same kernels. Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import arith
-from .errors import (
-    DomainError,
-    EtaFactorZero,
-    PoleAtOne,
-    QuadratureFailure,
-    ZetaLabError,
-)
+from .errors import DomainError, EtaFactorZero, PoleAtOne, ZetaLabError
 from .specfun import EvalResult, _rgamma, gamma
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "zeta",
     "eta",
     "zeta_many",
     "eta_many",
-    "eta_integral",
     "zeta_floor_integral",
     "euler_product",
     "zeta_reflect",
-    "log_deriv_zeta",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -58,31 +47,11 @@ FACTOR_ZERO_AVERAGE = 5e-7
 #: radius of the 4-point average.
 FACTOR_ZERO_RADIUS = 1e-6
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Shared evaluation parameters.
-
-    Attributes:
-        target_abs_err: absolute error the series evaluators aim for.
-        series_max_terms: budget for any truncated sum or segment count.
-        quadrature_tol: absolute tolerance for the integral representations.
-    """
-
-    target_abs_err: float = 1e-12
-    series_max_terms: int = 10_000_000
-    quadrature_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.target_abs_err >= 10.0 * _EPS:
-            raise ValueError("target_abs_err must be >= 10 * machine epsilon")
-        if self.series_max_terms < 1:
-            raise ValueError("series_max_terms must be positive")
-        if not self.quadrature_tol > 0.0:
-            raise ValueError("quadrature_tol must be positive")
-
-
-DEFAULT_CONFIG = EvalConfig()
+#: absolute error the eta and Euler-Maclaurin series are sized for.
+_TARGET_ABS_ERR = 1e-12
+#: absolute tolerance of zeta_floor_integral, and its cap on segments.
+_FLOOR_TOL = 1e-10
+_FLOOR_MAX_SEGMENTS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +128,14 @@ def _eta_series_bound(t_abs: float, n: int) -> float:
     return 8.0 * (1.0 + 2.0 * t_abs) * growth * _CVZ_RHO ** (-n)
 
 
-def _eta_plan(s: complex, cfg: EvalConfig) -> tuple[int, float]:
+def _eta_plan(s: complex) -> tuple[int, float]:
     """Term count n for eta(s) and the truncation bound at n."""
     if not cmath.isfinite(s):
         raise DomainError(f"eta requires a finite argument, got {s}")
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s}")
     t = abs(s.imag)
-    target = 0.5 * cfg.target_abs_err
+    target = 0.5 * _TARGET_ABS_ERR
     n = math.ceil((math.log(8.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - math.log(target)) / _LN_CVZ_RHO) + 2
     n = min(max(n, 8), _CVZ_MAX_N)
     return n, _eta_series_bound(t, n)
@@ -187,7 +156,7 @@ def _eta_result(s: complex, n: int, bound: float, cos_terms: np.ndarray, sin_ter
     return EvalResult(value, bound + 5e-14 * (1.0 + abs(value)), "accelerated-eta")
 
 
-def eta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def eta(s: complex) -> EvalResult:
     """Dirichlet eta via accelerated alternating summation.
 
     Terms are evaluated in the decomposed form
@@ -196,25 +165,23 @@ def eta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
 
     Args:
         s: finite point with Re(s) > 0.
-        cfg: evaluation parameters (defaults shared).
 
     Raises:
         DomainError: if Re(s) <= 0 or s is not finite.
     """
     s = complex(s)
-    n, bound = _eta_plan(s, cfg or DEFAULT_CONFIG)
+    n, bound = _eta_plan(s)
     return _eta_result(s, n, bound, *_eta_kernel(s, n))
 
 
-def eta_many(points, cfg: EvalConfig | None = None) -> list[EvalResult | ZetaLabError]:
+def eta_many(points) -> list[EvalResult | ZetaLabError]:
     """eta at each point, batched over the points that share a term count.
 
     Returns one entry per point, in order: the EvalResult eta(s) returns
     (the same value, bound and method), or the ZetaLabError it raises.
     """
-    cfg = cfg or DEFAULT_CONFIG
     pts = [complex(p) for p in points]
-    return _batch(pts, [_try(_eta_plan, s, cfg) for s in pts], _eta_kernel, _eta_result)
+    return _batch(pts, [_try(_eta_plan, s) for s in pts], _eta_kernel, _eta_result)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +215,9 @@ def _em_remainder_bound(s: complex, poch_abs: float, n: int) -> float:
     return abs(_EM_COEF[_EM_ORDER]) * p * (abs(s) + 2 * _EM_ORDER + 1) / (sigma + 2 * _EM_ORDER + 1)
 
 
-def _em_plan(s: complex, cfg: EvalConfig) -> tuple[int, float]:
+def _em_plan(s: complex) -> tuple[int, float]:
     """Head length n for zeta(s) and the remainder bound at n."""
-    target = 0.5 * cfg.target_abs_err
+    target = 0.5 * _TARGET_ABS_ERR
     poch_abs = math.prod([abs(s + i) for i in range(2 * _EM_ORDER + 1)])
     n = max(16, int(0.75 * abs(s.imag)) + 8)
     bound = _em_remainder_bound(s, poch_abs, n)
@@ -317,25 +284,24 @@ def _strip_result(s: complex, e: EvalResult) -> EvalResult:
     return EvalResult(value, err, "accelerated-eta")
 
 
-def _zeta_strip_quotient(s: complex, cfg: EvalConfig) -> EvalResult:
-    return _strip_result(s, eta(s, cfg))
+def _zeta_strip_quotient(s: complex) -> EvalResult:
+    return _strip_result(s, eta(s))
 
 
-def _zeta_average(s: complex, cfg: EvalConfig) -> EvalResult:
+def _zeta_average(s: complex) -> EvalResult:
     # 4-point mean at radius 1e-6: the probes stay clear of the factor zero
     # while the analytic average matches zeta(s) to O(radius^4).
-    probes = [_zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off, cfg) for off in (1.0, 1.0j, -1.0, -1.0j)]
+    probes = [_zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off) for off in (1.0, 1.0j, -1.0, -1.0j)]
     value = sum(p.value for p in probes) / 4.0
     err = max(p.abs_err_est for p in probes) + FACTOR_ZERO_RADIUS**4
     return EvalResult(value, err, "accelerated-eta")
 
 
-def zeta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def zeta(s: complex) -> EvalResult:
     """Riemann zeta with region dispatch; the method tag records the route.
 
     Args:
         s: any finite complex number except s = 1 (simple pole).
-        cfg: evaluation parameters.
 
     Raises:
         PoleAtOne: within 1e-12 of s = 1.
@@ -344,43 +310,41 @@ def zeta(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
         DomainError: s is not finite.
     """
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
     route = _route(s)
     if route == "em":
-        n, bound = _em_plan(s, cfg)
+        n, bound = _em_plan(s)
         return _em_result(s, n, bound, *_em_kernel(s, n))
     if route == "strip":
-        return _zeta_strip_quotient(s, cfg)
+        return _zeta_strip_quotient(s)
     if route == "average":
-        return _zeta_average(s, cfg)
+        return _zeta_average(s)
     if route == "origin":
         # Limit value at the origin; zeta varies by ~0.92*|s| nearby.
         return EvalResult(complex(-0.5, 0.0), 1e-12, "functional-equation")
-    return zeta_reflect(s, cfg)
+    return zeta_reflect(s)
 
 
-def zeta_many(points, cfg: EvalConfig | None = None) -> list[EvalResult | ZetaLabError]:
+def zeta_many(points) -> list[EvalResult | ZetaLabError]:
     """zeta at each point, batched by route and term count.
 
     Returns one entry per point, in order: the EvalResult zeta(s) returns
     (the same value, bound and method), or the ZetaLabError it raises.
     """
-    cfg = cfg or DEFAULT_CONFIG
     pts = [complex(p) for p in points]
     out = [_try(_route, s) for s in pts]
     em, strip, reflect = ([i for i, r in enumerate(out) if r == route] for route in ("em", "strip", "reflect"))
     for i, r in enumerate(out):
         if r in ("average", "origin"):
-            out[i] = _try(zeta, pts[i], cfg)  # rare routes take the scalar path
+            out[i] = _try(zeta, pts[i])  # rare routes take the scalar path
         elif r == "reflect":
             out[i] = _try(_reflect_gammas, pts[i])
     em_pts = [pts[i] for i in em]
-    for i, r in zip(em, _batch(em_pts, [_em_plan(s, cfg) for s in em_pts], _em_kernel, _em_result)):
+    for i, r in zip(em, _batch(em_pts, [_em_plan(s) for s in em_pts], _em_kernel, _em_result)):
         out[i] = r
-    for i, e in zip(strip, eta_many([pts[i] for i in strip], cfg)):
+    for i, e in zip(strip, eta_many([pts[i] for i in strip])):
         out[i] = e if isinstance(e, ZetaLabError) else _strip_result(pts[i], e)
     reflect = [i for i in reflect if not isinstance(out[i], ZetaLabError)]
-    for i, z1 in zip(reflect, zeta_many([1.0 - pts[i] for i in reflect], cfg) if reflect else []):
+    for i, z1 in zip(reflect, zeta_many([1.0 - pts[i] for i in reflect]) if reflect else []):
         out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_result(pts[i], *out[i], z1)
     return out
 
@@ -403,7 +367,7 @@ def _reflect_result(s: complex, g1: EvalResult, rg: complex, z1: EvalResult) -> 
     return EvalResult(value, err, "functional-equation")
 
 
-def zeta_reflect(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def zeta_reflect(s: complex) -> EvalResult:
     """Right-hand side of the symmetric functional equation,
 
         zeta(s) = pi^(s-1/2) * Gamma((1-s)/2) / Gamma(s/2) * zeta(1-s),
@@ -413,131 +377,19 @@ def zeta_reflect(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
     exact zeros of the result. A non-finite s raises DomainError.
     """
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
     if not cmath.isfinite(s):
         raise DomainError(f"zeta_reflect requires a finite argument, got {s}")
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta_reflect undefined at s = 1")
-    return _reflect_result(s, *_reflect_gammas(s), zeta(1.0 - s, cfg))
+    return _reflect_result(s, *_reflect_gammas(s), zeta(1.0 - s))
 
 
 # ---------------------------------------------------------------------------
-# Integral representations.
+# Reference routes for Re(s) > 1.
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_simpson(f, nodes: np.ndarray, tol: float, budget: int) -> tuple[complex, float, int]:
-    """Adaptive Simpson over an initial partition, bisecting with an embedded
-    error estimate.
-
-    The initial nodes must already resolve any oscillation coarsely (no more
-    than ~a quarter period per panel), otherwise the error estimator can be
-    aliased into accepting too early.
-
-    Returns (integral, error_estimate, evaluations_used). Raises
-    QuadratureFailure when the refinement budget runs out.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    used = 0
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol_local, depth):
-        nonlocal used
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        used += 2
-        if used > budget:
-            raise QuadratureFailure(f"adaptive refinement exceeded {budget} evaluations")
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol_local or depth >= 50:
-            if depth >= 50 and abs(delta) > 15.0 * tol_local:
-                raise QuadratureFailure("adaptive refinement exceeded depth 50")
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        vl, el = recurse(x0, xm, f0, fl, f1, left, 0.5 * tol_local, depth + 1)
-        vr, er = recurse(xm, x2, f1, fr, f2, right, 0.5 * tol_local, depth + 1)
-        return vl + vr, el + er
-
-    n_panels = len(nodes) - 1
-    fvals = [f(x) for x in nodes]
-    used += len(fvals)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for i in range(n_panels):
-        x0, x2 = nodes[i], nodes[i + 1]
-        f1 = f(0.5 * (x0 + x2))
-        used += 1
-        whole = simpson(x0, x2, fvals[i], f1, fvals[i + 1])
-        v, e = recurse(x0, x2, fvals[i], f1, fvals[i + 1], whole, tol / n_panels, 0)
-        total += v
-        err += e
-    return total, err, used
-
-
-def eta_integral(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
-    """Dirichlet eta via its integral form
-
-        eta(s) = (1/Gamma(s)) * integral_0^inf x^(s-1) / (e^x + 1) dx,
-
-    restricted to the quadrature validity window 0 < Re(s) < 3.
-
-    The integrand head [0, 1e-3] is integrated from the series expansion of
-    1/(e^x + 1); the tail beyond X is truncated where x^2 * e^(-x) certifies
-    the remainder below tol/10.
-
-    Raises:
-        DomainError: outside 0 < Re(s) < 3.
-        QuadratureFailure: refinement exceeds its budget.
-    """
-    s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
-    sigma = s.real
-    if not 0.0 < sigma < 3.0:
-        raise DomainError(f"eta_integral window is 0 < Re(s) < 3, got {s}")
-    tol = cfg.quadrature_tol
-
-    cutoff = 45.0
-    while (cutoff**2 + 2.0 * cutoff + 2.0) * math.exp(-cutoff) > 0.1 * tol and cutoff < 400.0:
-        cutoff += 5.0
-    tail_bound = (cutoff**2 + 2.0 * cutoff + 2.0) * math.exp(-cutoff)
-
-    # 1/(e^x+1) = 1/2 - x/4 + x^3/48 - x^5/480 + ... on [0, delta]
-    delta = 1e-3
-    dpow = cmath.exp(s * math.log(delta))  # delta^s
-    head = dpow * (
-        1.0 / (2.0 * s)
-        - delta / (4.0 * (s + 1.0))
-        + delta**3 / (48.0 * (s + 3.0))
-    )
-    head_bound = delta ** (sigma + 5) / (480.0 * (sigma + 5.0))
-
-    def integrand(x: float) -> complex:
-        return cmath.exp((s - 1.0) * math.log(x)) / (math.exp(x) + 1.0)
-
-    budget = min(cfg.series_max_terms, 400_000)
-    # x^(i Im s) oscillates uniformly in ln x, so geometric panels hold each
-    # to at most ~a quarter period; the singular head also benefits.
-    n_panels = min(2000, max(24, int(math.ceil(3.0 * (abs(s.imag) + 1.0) * math.log(cutoff / delta)))))
-    nodes = np.geomspace(delta, cutoff, n_panels + 1)
-    body, quad_err, _ = _adaptive_simpson(integrand, nodes, 0.8 * tol, budget)
-
-    integral = head + body
-    rg = _rgamma(s)
-    g = gamma(s)
-    value = integral * rg
-    err = (tail_bound + head_bound + quad_err) * abs(rg) + abs(value) * (
-        g.abs_err_est / abs(g.value) + 4.0 * _EPS
-    )
-    return EvalResult(value, err, "quadrature")
-
-
-def zeta_floor_integral(s: complex, cfg: EvalConfig | None = None) -> EvalResult:
+def zeta_floor_integral(s: complex) -> EvalResult:
     """zeta via  s/(s-1) - s * integral_1^inf {x} x^(-s-1) dx,  Re(s) > 1.
 
     The fractional-part integral is evaluated in closed form on every
@@ -545,22 +397,22 @@ def zeta_floor_integral(s: complex, cfg: EvalConfig | None = None) -> EvalResult
     N^(-s)/(2s) with a rigorous bound on the oscillatory remainder.
 
     Raises:
-        DomainError: when Re(s) <= 1.
+        DomainError: when Re(s) <= 1 or s is not finite.
     """
     s = complex(s)
-    cfg = cfg or DEFAULT_CONFIG
+    if not cmath.isfinite(s):
+        raise DomainError(f"zeta_floor_integral requires a finite argument, got {s}")
     sigma = s.real
     if sigma <= 1.0:
         raise DomainError(f"zeta_floor_integral requires Re(s) > 1, got {s}")
-    tol = cfg.quadrature_tol
 
     def tail_bound(n: float) -> float:
         return n ** (-sigma - 1.0) / 8.0 * (1.0 + abs(s + 1.0) / (sigma + 1.0))
 
     n_seg = 16
-    while tail_bound(n_seg) > 0.5 * tol / max(abs(s), 1.0) and n_seg < cfg.series_max_terms:
+    while tail_bound(n_seg) > 0.5 * _FLOOR_TOL / max(abs(s), 1.0) and n_seg < _FLOOR_MAX_SEGMENTS:
         n_seg *= 2
-    n_seg = min(n_seg, cfg.series_max_terms)
+    n_seg = min(n_seg, _FLOOR_MAX_SEGMENTS)
 
     m = np.arange(1.0, n_seg + 1.0)
     pw = np.exp(-s * np.log(m))  # m^(-s)
@@ -582,9 +434,11 @@ def euler_product(s: complex, prime_bound: int) -> EvalResult:
     sum_{n > bound} n^(-Re s), which dominates the prime tail.
 
     Raises:
-        DomainError: when Re(s) <= 1.
+        DomainError: when Re(s) <= 1 or s is not finite.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"euler_product requires a finite argument, got {s}")
     sigma = s.real
     if sigma <= 1.0:
         raise DomainError(f"euler_product requires Re(s) > 1, got {s}")
@@ -596,31 +450,3 @@ def euler_product(s: complex, prime_bound: int) -> EvalResult:
     tail = prime_bound ** (1.0 - sigma) / (sigma - 1.0)
     err = abs(value) * (math.expm1(min(tail, 50.0)) + 4.0 * _EPS * math.sqrt(len(p) + 1.0))
     return EvalResult(value, err, "euler-product")
-
-
-def log_deriv_zeta(s: complex, n_terms: int, cfg: EvalConfig | None = None) -> EvalResult:
-    """Logarithmic derivative zeta'(s)/zeta(s) = -sum_{n>=2} Lambda(n) n^(-s),
-    truncated at n_terms, Re(s) > 1.
-
-    Raises:
-        DomainError: when Re(s) <= 1.
-    """
-    s = complex(s)
-    sigma = s.real
-    if sigma <= 1.0:
-        raise DomainError(f"log_deriv_zeta requires Re(s) > 1, got {s}")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-
-    def tail_bound(n: float) -> float:
-        # sum_{m>n} Lambda(m) m^(-sigma), via psi(x) < 1.04 x
-        return 1.04 * n ** (1.0 - sigma) * (1.0 + sigma / (sigma - 1.0))
-
-    if n_terms < 2:
-        return EvalResult(0.0 + 0.0j, tail_bound(1.0), "direct-series")
-    table = arith.cached_table(n_terms)
-    idx = np.nonzero(table.mangoldt)[0]
-    lam = table.mangoldt[idx]
-    value = -complex(np.sum(lam * np.exp(-s * np.log(idx.astype(np.float64)))))
-    err = tail_bound(float(n_terms)) + 4e-15 * (1.0 + abs(value)) * math.log2(len(idx) + 2.0)
-    return EvalResult(value, err, "direct-series")

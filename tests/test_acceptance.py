@@ -25,7 +25,6 @@ from zetalab import (
 )
 from zetalab.arith import cached_table, primes_upto
 from zetalab.reporting import strip_durations
-from zetalab.zeta_eval import DEFAULT_CONFIG
 
 ZERO_TS = (14.134725, 21.022040, 25.010858)
 
@@ -80,7 +79,7 @@ def kappa_grid():
     res = np.linspace(0.55, 0.95, cfg.kappa_grid[0])
     ims = np.linspace(0.0, 30.0, cfg.kappa_grid[1])
     return [
-        (complex(re, im), kappa(complex(re, im), DEFAULT_CONFIG)) for re in res for im in ims
+        (complex(re, im), kappa(complex(re, im))) for re in res for im in ims
     ]
 
 

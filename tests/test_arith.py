@@ -1,25 +1,21 @@
-"""Sieves against trial-division brute force, the convolution engine, and
-truncated Dirichlet series."""
+"""Sieves against trial-division brute force, and the convolution engine."""
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from zetalab import CoeffSeq, build_table, dirichlet_convolve, dirichlet_series, sigma_paper
+from zetalab import CoeffSeq, build_table, dirichlet_convolve, sigma_paper
 from zetalab.arith import (
     _construction_checks,
     cached_table,
     delta_seq,
     g_paper_seq,
-    liouville_seq,
     mu_seq,
     one_seq,
-    sigma_paper_seq,
 )
-from zetalab.errors import BoundMismatch, CapacityError, DomainError
+from zetalab.errors import BoundMismatch, CapacityError
 
 # ---------------------------------------------------------------------------
 # Trial-division oracles.
@@ -246,57 +242,3 @@ def test_g_paper_convolution_reproduces_sigma():
     expected = np.zeros(10**4 + 1)
     expected[2] = 1.0
     assert np.array_equal(conv.coeffs, expected)
-
-
-# ---------------------------------------------------------------------------
-# Truncated Dirichlet series.
-# ---------------------------------------------------------------------------
-
-
-def zeta_sum_oracle(k: int, n: int = 200_000) -> float:
-    m = np.arange(1.0, n + 1.0)
-    tail = 1.0 / ((k - 1) * n ** (k - 1)) - 0.5 / n**k + k / (12.0 * n ** (k + 1))
-    return float(np.sum(m ** (-float(k)))) + tail
-
-
-def test_series_delta_is_one():
-    for s in (3.0, 2.0 + 5.0j, 1.1):
-        assert dirichlet_series(delta_seq(50), s).value == 1.0
-
-
-def test_series_liouville_matches_zeta_ratio():
-    table = cached_table(10**4)
-    res = dirichlet_series(liouville_seq(table), 3.0)
-    target = zeta_sum_oracle(6) / zeta_sum_oracle(3)
-    assert abs(res.value - target) < 1e-4
-    assert abs(res.value - target) <= res.abs_err_est
-
-
-def test_series_sigma_single_term():
-    table = cached_table(10**4)
-    res = dirichlet_series(sigma_paper_seq(table), 3.0)
-    assert res.value.real == 0.125 and res.value.imag == 0.0
-    small = build_table(2)
-    res2 = dirichlet_series(sigma_paper_seq(small), 3.0)
-    assert res2.value.real == 0.125
-
-
-def test_series_warning_in_strip():
-    table = build_table(100)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dirichlet_series(liouville_seq(table), 0.8 + 2.0j)
-    assert len(caught) == 1 and issubclass(caught[0].category, RuntimeWarning)
-
-
-def test_series_domain_error():
-    with pytest.raises(DomainError):
-        dirichlet_series(delta_seq(10), -0.5)
-
-
-def test_series_tail_commitment():
-    table = cached_table(10**4)
-    small = CoeffSeq(table.liouville[: 10**3 + 1].astype(np.float64))
-    a = dirichlet_series(small, 2.5)
-    b = dirichlet_series(liouville_seq(table), 2.5)
-    assert abs(a.value - b.value) <= a.abs_err_est

@@ -1,5 +1,6 @@
 """CLI subcommands exercised through main(argv)."""
 
+import importlib
 import json
 import math
 import os
@@ -159,6 +160,16 @@ def test_version_has_one_source():
     from zetalab.reporting import VERSION
 
     assert zetalab.__version__ is VERSION == "0.1.0"
+
+
+LAYERS = ("specfun", "zeta_eval", "arith", "reflect", "zeros", "harness", "reporting")
+
+
+@pytest.mark.parametrize("module", ["zetalab", *(f"zetalab.{layer}" for layer in LAYERS)])
+def test_every_exported_name_resolves(module):
+    # perfbench/tracer.py wraps every name in a layer's __all__ by getattr
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_zeros_above_the_supported_height_is_a_one_line_error(capsys):
