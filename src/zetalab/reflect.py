@@ -18,8 +18,8 @@ from .errors import (
     ZeroInput,
     ZetaLabError,
 )
-from .specfun import EvalResult, _rgamma, half_cos
-from .zeta_eval import _EPS, FACTOR_ZERO_SPACING, LN2, eta, zeta
+from .specfun import LOG_TWO_PI, EvalResult, _rgamma, half_cos
+from .zeta_eval import _EPS, LN2, _nearest_factor_zero, eta, zeta
 
 __all__ = [
     "NuClassification",
@@ -30,8 +30,6 @@ __all__ = [
     "kappa",
     "classify_nu",
 ]
-
-_LOG_TWO_PI = math.log(2.0 * math.pi)
 
 #: |zeta(s)| below this counts as "within 1e-9 of a zeta zero" for nu.
 _ZETA_ZERO_GUARD = 1e-7
@@ -93,7 +91,7 @@ def nu(s: complex) -> EvalResult:
     if cos_term == 0.0:
         raise NearPole(f"cos(pi*conj(s)/2) vanishes exactly at {s}")
     ratio = conj_ratio(z.value.real, z.value.imag)
-    value = cmath.exp(sb * _LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
+    value = cmath.exp(sb * LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
     z_rel = z.abs_err_est / abs(z.value)
     err = abs(value) * (6e-13 + 2.0 * z_rel + 8.0 * _EPS)
     return EvalResult(value, err, "functional-equation")
@@ -121,8 +119,7 @@ def theta(s: complex) -> EvalResult:
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"theta requires a finite argument, got {s}")
-    k = round(s.imag / FACTOR_ZERO_SPACING)
-    if abs(s - complex(1.0, k * FACTOR_ZERO_SPACING)) < 1e-9:
+    if _nearest_factor_zero(s)[1] < 1e-9:
         raise DenominatorZero(f"theta denominator vanishes near {s}")
     num = 1.0 - cmath.exp((1.0 - 2.0 * s) * LN2)
     den = 1.0 - cmath.exp((1.0 - s) * LN2)

@@ -1,5 +1,5 @@
 """Zero location and counting: argument-principle census over rectangles,
-critical-line zero finding on |eta(1/2 + it)|, the multiplicity functional
+critical-line zeros as sign changes of Hardy's Z(t), the multiplicity functional
 w(f, a) = lim Re[eps * f'(a+eps)/f(a+eps)], and the zero-free line scans.
 """
 
@@ -19,7 +19,8 @@ from .errors import (
     NonIntegerWinding,
     ZetaLabError,
 )
-from .zeta_eval import _eta_plan, eta, eta_many, zeta, zeta_many
+from .specfun import TWO_PI
+from .zeta_eval import LN2, _eta_plan, eta, eta_many, zeta, zeta_many
 
 __all__ = [
     "Rect",
@@ -249,74 +250,64 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     return int(nearest)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _hardy_z(t: float, eta_value: complex) -> float:
+    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)), zeta taken from
+    eta_value = eta(1/2 + it) and theta from its Stirling series.
 
-
-def _golden_min(g, a: float, b: float, f_tol: float, x_tol: float) -> tuple[float, float]:
-    """Golden-section minimum of g on [a, b]; stops when the best value
-    drops below f_tol or the bracket width below x_tol."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    gc = g(c)
-    gd = g(d)
-    while (b - a) > x_tol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-            newest = gc
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-            newest = gd
-        if newest < f_tol:
-            break
-    return (c, gc) if gc <= gd else (d, gd)
+    The series is off by more than pi/2 below t = 0.2, and diverges as
+    t -> 0; theta takes t >= 1e-3 so that it stays finite. No zero lies
+    that low, and the |eta| gate of the finder rejects a spurious sign change.
+    """
+    u = max(t, 1e-3)
+    theta = 0.5 * u * math.log(u / TWO_PI) - 0.5 * u - math.pi / 8.0 + 1.0 / (48.0 * u) + 7.0 / (5760.0 * u**3)
+    return (cmath.exp(1j * theta) * eta_value / (1.0 - cmath.exp(complex(0.5, -t) * LN2))).real
 
 
 def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRecord]:
-    """Scan |eta(1/2 + it)| on a grid, refine local minima by golden section,
-    confirm candidates by a winding count on a 0.2 x 0.2 square, and attach
-    a multiplicity estimate.
+    """Find the sign changes of Hardy's Z on a grid, bisect each to a 1e-10
+    bracket, keep those where |eta| < 1e-8, confirm each by a winding count
+    on a 0.2 x 0.2 square, and attach a multiplicity estimate.
 
     Args:
         t_min, t_max: scan window, 0 < t_min < t_max.
-        step: grid spacing, <= 0.05 so no zero slips between grid points.
+        step: grid spacing, <= 0.05; below the height limit no two zeros
+            are closer than 0.4, so no grid cell holds two of them.
 
     Returns:
-        ZeroRecords sorted by t; empty when the window holds no zero.
+        ZeroRecords in increasing t; empty when the window holds no zero.
 
     Raises:
-        DomainError: the grid reaches above eta's height limit (about 451.86).
+        DomainError: the grid reaches above eta's height limit (about 446.2).
     """
     if not (0.0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
     if not (0.0 < step <= 0.05):
         raise ValueError("step must be in (0, 0.05]")
 
-    # eta's own height limit, at the top grid point, before the grid exists
-    _eta_plan(complex(0.5, t_min + float(np.ceil((t_max + 0.5 * step - t_min) / step)) * step))
-    ts = np.arange(t_min, t_max + 0.5 * step, step)
-    # one point past each end, so a zero within a step of either end is a
-    # grid minimum too; the refined t_star must still lie in the window
-    ts = np.concatenate(([ts[0] - step], ts, [ts[-1] + step]))
-    mags = np.array([abs(v) for v in _values(eta_many, (complex(0.5, t) for t in ts))])
-
-    def g(t: float) -> float:
-        return abs(eta(complex(0.5, t)).value)
+    # the grid runs from t_min to its first point at or past t_max; eta's
+    # height limit is checked at that point before the grid exists
+    n_steps = float(np.ceil((t_max - t_min) / step))
+    _eta_plan(complex(0.5, t_min + n_steps * step))
+    ts = t_min + step * np.arange(n_steps + 1.0)
+    etas = _values(eta_many, (complex(0.5, t) for t in ts))
+    negative = np.fromiter(map(_hardy_z, map(float, ts), etas), float, len(ts)) < 0.0
 
     records = []
-    for i in range(1, len(ts) - 1):
-        if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
-            continue
-        t_star, g_star = _golden_min(g, ts[i] - step, ts[i] + step, 1e-8, 1e-10)
+    # a grid value of exactly 0 counts as positive, so it opens one bracket
+    for i in np.flatnonzero(negative[1:] != negative[:-1]):
+        a, b = float(ts[i]), float(ts[i + 1])
+        while b - a > 1e-10:
+            m = 0.5 * (a + b)
+            if (_hardy_z(m, eta(complex(0.5, m)).value) < 0.0) == negative[i]:
+                a = m
+            else:
+                b = m
+        t_star = 0.5 * (a + b)
+        g_star = abs(eta(complex(0.5, t_star)).value)
         if g_star >= 1e-8:
-            continue  # a shallow minimum, not a zero
-        if not t_min <= t_star <= t_max:
-            continue
-        if records and abs(records[-1].location.imag - t_star) < 1e-6:
-            continue
+            continue  # the series error of theta flipped the sign, not a zero
+        if t_star > t_max:
+            continue  # the last grid point lies past t_max
         location = complex(0.5, t_star)
         method = "minimum-refinement"
         try:
@@ -327,7 +318,7 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
             logger.warning("winding confirmation failed at t=%.6f: %s", t_star, exc)
         mult = multiplicity(lambda z: zeta(z).value, location, 1e-4)
         records.append(ZeroRecord(location, g_star, mult, method))
-    return sorted(records, key=lambda rec: rec.location.imag)
+    return records
 
 
 def multiplicity(f, a: complex, eps: float) -> float:

@@ -66,15 +66,16 @@ _FLOOR_MAX_SEGMENTS = 10_000_000
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
 _LN_CVZ_RHO = math.log(_CVZ_RHO)
 _CVZ_MAX_N = 300
-_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray, float]] = {}
 
 #: one batch kernel call covers about this many terms at most (rows x n).
 _BATCH_TERMS = 1 << 16
 
 
-def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Normalizer d, signed weights c_k and the table ln 1..ln n for the
-    n-term acceleration of sum_{k>=0} (-1)^k a_k."""
+def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Normalizer d, signed weights w_k, the table ln 1..ln n and
+    eps * sum_k |w_k| ln k / d for the n-term acceleration of
+    sum_{k>=0} (-1)^k a_k."""
     hit = _cvz_cache.get(n)
     if hit is not None:
         return hit
@@ -87,7 +88,8 @@ def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray]:
         c = b - c
         w[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    _cvz_cache[n] = (d, w, np.log(np.arange(1.0, n + 1.0)))
+    lm = np.log(np.arange(1.0, n + 1.0))
+    _cvz_cache[n] = (d, w, lm, _EPS * float(np.dot(np.abs(w), lm)) / d)
     return _cvz_cache[n]
 
 
@@ -120,12 +122,15 @@ def _batch(pts: list[complex], plans: list, kernel, finish) -> list:
 
 def _eta_series_bound(t_abs: float, n: int) -> float:
     """Committed truncation bound for the accelerated eta sum; DomainError
-    once it leaves the floating range (|Im s| above about 450)."""
+    where its factor 8(1 + 2t) e^(pi t / 2) leaves the floating range
+    (|Im s| above about 446.2)."""
     try:
-        growth = math.exp(0.5 * math.pi * t_abs)
+        bound = 8.0 * (1.0 + 2.0 * t_abs) * math.exp(0.5 * math.pi * t_abs) * _CVZ_RHO ** (-n)
+        if math.isfinite(bound):
+            return bound
     except OverflowError:
-        raise DomainError(f"eta series bound overflows at height |Im s| = {t_abs}") from None
-    return 8.0 * (1.0 + 2.0 * t_abs) * growth * _CVZ_RHO ** (-n)
+        pass
+    raise DomainError(f"eta series bound overflows at height |Im s| = {t_abs}")
 
 
 def _eta_plan(s: complex) -> tuple[int, float]:
@@ -149,11 +154,13 @@ def _eta_kernel(s, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eta_result(s: complex, n: int, bound: float, cos_terms: np.ndarray, sin_terms: np.ndarray) -> EvalResult:
-    d, w, _ = _cvz_weights(n)
+    d, w, _, phase_weight = _cvz_weights(n)
     re = float(np.dot(w, cos_terms)) / d
     im = -float(np.dot(w, sin_terms)) / d
     value = complex(re, im)
-    return EvalResult(value, bound + 5e-14 * (1.0 + abs(value)), "accelerated-eta")
+    # rounding, plus the phase error eps |b| ln k of each cos/sin(b ln k)
+    err = bound + 5e-14 * (1.0 + abs(value)) + abs(s.imag) * phase_weight
+    return EvalResult(value, err, "accelerated-eta")
 
 
 def eta(s: complex) -> EvalResult:

@@ -153,6 +153,12 @@ def test_eval_at_large_height_keeps_json_error(capsys):
     code, out = run_cli(["eval", "0.5", "1000"], capsys)
     assert code == 1
     assert "1000" in json.loads(out)["error"]
+    # below eta's exponential overflow, where the bound used to print Infinity
+    for height in ("447", "451"):
+        for fn in ("eta", "zeta"):
+            code, out = run_cli(["eval", "0.5", height, "--fn", fn], capsys)
+            assert code == 1
+            assert height in json.loads(out)["error"]
 
 
 def test_version_has_one_source():

@@ -75,14 +75,17 @@ def test_boundary_near_trivial_zero_raises():
 
 
 def test_find_critical_zeros_window():
-    records = find_critical_zeros(13.0, 15.0, 0.01)
-    assert len(records) == 1
-    rec = records[0]
-    assert abs(rec.location.imag - 14.134725) < 1e-6
-    assert rec.location.real == 0.5
-    assert rec.refined_abs_value < 1e-6
-    assert abs(rec.multiplicity_estimate - 1.0) < 0.1
-    assert rec.method == "winding-confirmed"
+    # below t = 0.2 the Stirling theta flips the sign of Z where no zero
+    # lies, and at t_min = 1e-200 its series would overflow unless floored
+    for t_min in (13.0, 0.005, 1e-200):
+        records = find_critical_zeros(t_min, 15.0, 0.01)
+        assert len(records) == 1
+        rec = records[0]
+        assert abs(rec.location.imag - 14.134725) < 1e-6
+        assert rec.location.real == 0.5
+        assert rec.refined_abs_value < 1e-6
+        assert abs(rec.multiplicity_estimate - 1.0) < 0.1
+        assert rec.method == "winding-confirmed"
 
 
 def test_find_critical_zeros_empty_window():
@@ -194,12 +197,21 @@ def _use_scalar_calls(monkeypatch):
         monkeypatch.setattr(zeros, name, lambda points, f=f: [_try(f, p) for p in points])
 
 
+#: zero ordinates in (10, 30) and (100, 110), from mpmath.zetazero to 20 digits.
+KNOWN_ZEROS = {
+    10.0: [14.134725141734693791, 21.022039638771554993, 25.010857580145688763],
+    100.0: [101.31785100573139123, 103.72553804047833942, 105.44662305232609449, 107.16861118427640752],
+}
+
+
 @pytest.mark.parametrize("t_min, t_max", [(10.0, 30.0), (100.0, 110.0)])
 def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
     batched = [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
     _use_scalar_calls(monkeypatch)
     assert batched == [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
     assert len(batched) == {10.0: 3, 100.0: 4}[t_min]
+    for located, gamma in zip(batched, KNOWN_ZEROS[t_min]):
+        assert abs(located[0].imag - gamma) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -270,7 +282,7 @@ def test_first_failure_in_point_order_wins(first, second):
     assert type(exc.value) is (BoundaryTooCloseToZero if first < second else EtaFactorZero)
 
 
-@pytest.mark.parametrize("t_max", [460.0, 1e15, math.inf])
+@pytest.mark.parametrize("t_max", [460.0, 1e15, math.inf, 449.0])
 def test_find_critical_zeros_checks_the_height_before_the_grid(monkeypatch, t_max):
     def no_grid(points):
         raise AssertionError("the grid was evaluated")

@@ -253,10 +253,30 @@ def test_large_height_raises_typed_errors():
         eta(0.5 + 1000j)
     with pytest.raises(DomainError):
         zeta(0.5 + 1000j)
+    # the bound's factor 8(1 + 2t) e^(pi t / 2) overflows before the exponential does
+    for s in (0.5 + 447j, 0.5 + 451j):
+        with pytest.raises(DomainError, match="height"):
+            eta(s)
+        with pytest.raises(DomainError, match="height"):
+            zeta(s)
     with pytest.raises(ZetaLabError):
         zeta(-0.5 + 1000j)
     with pytest.raises(Overflow):
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
+
+
+def test_eta_and_zeta_hold_their_bounds_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2026)
+    pts = [complex(rng.uniform(0.05, 0.95), rng.uniform(100.0, 440.0)) for _ in range(120)]
+    for s in pts + [0.5 + 260j]:
+        with mpmath.workdps(30):
+            ms = mpmath.mpc(s.real, s.imag)
+            zeta_ref = mpmath.zeta(ms)
+            eta_ref = (1 - mpmath.power(2, 1 - ms)) * zeta_ref
+        for f, ref in ((eta, eta_ref), (zeta, zeta_ref)):
+            got = f(s)
+            assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, (f.__name__, s)
 
 
 def _outcome(f, s):
@@ -279,7 +299,7 @@ def _batch_sweep_points() -> list[complex]:
     factor_zero = complex(1.0, FACTOR_ZERO_SPACING)
     pts += [1.0, 1.0 + 5e-13j, 0j, 1e-13, 1.5, 1.5 + 3.0j, -2.0, -4.0, -10.0, 2.0, 0.3]
     pts += [factor_zero + 1e-10, factor_zero + 3e-7, factor_zero.conjugate() + 2e-7j]
-    pts += [0.5 + 1000j, -0.5 + 600j, -0.5 + 1000j, 0.5 + 452.5j, 3.0 + 700j]
+    pts += [0.5 + 1000j, -0.5 + 600j, -0.5 + 1000j, 0.5 + 452.5j, 3.0 + 700j, 0.5 + 447j, 0.5 + 451j]
     pts += [complex(math.nan, 1.0), complex(0.5, math.inf), complex(math.inf, 0.0), complex(-math.inf, 2.0)]
     return pts
 
