@@ -36,6 +36,7 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
+_HALF_PI = 0.5 * math.pi
 
 #: zeros of (1 - 2^(1-s)) sit at 1 + 2*pi*k*i/ln 2; spacing of consecutive ones.
 FACTOR_ZERO_SPACING = 2.0 * math.pi / LN2
@@ -49,6 +50,7 @@ FACTOR_ZERO_RADIUS = 1e-6
 
 #: absolute error the eta and Euler-Maclaurin series are sized for.
 _TARGET_ABS_ERR = 1e-12
+_LN_HALF_TARGET = math.log(0.5 * _TARGET_ABS_ERR)
 #: absolute tolerance of zeta_floor_integral, and its cap on segments.
 _FLOOR_TOL = 1e-10
 _FLOOR_MAX_SEGMENTS = 10_000_000
@@ -58,23 +60,24 @@ _FLOOR_MAX_SEGMENTS = 10_000_000
 # Accelerated alternating series (binomial/Chebyshev weights).
 #
 # A scalar call runs a kernel on one point for 1-D terms; a batch runs it on a
-# (k, 1) column of points that share n for one row each. Rows are reduced like
-# 1-D terms (np.dot per row; `rows @ w` rounds differently) and tails stay in
-# Python complex/cmath/math, so batches match scalar calls bit for bit.
+# (k, 1) column of points that share n for one row each. np.vecdot reduces each
+# row with the same BLAS dot as 1-D terms (`rows @ w` is a matrix-vector
+# product and rounds differently), and tails stay in Python
+# complex/cmath/math, so batches match scalar calls bit for bit.
 # ---------------------------------------------------------------------------
 
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
 _LN_CVZ_RHO = math.log(_CVZ_RHO)
 _CVZ_MAX_N = 300
-_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray, float]] = {}
+_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray, float, float]] = {}
 
 #: one batch kernel call covers about this many terms at most (rows x n).
 _BATCH_TERMS = 1 << 16
 
 
-def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Normalizer d, signed weights w_k, the table ln 1..ln n and
-    eps * sum_k |w_k| ln k / d for the n-term acceleration of
+def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float, float]:
+    """Normalizer d, signed weights w_k, the table ln 1..ln n,
+    eps * sum_k |w_k| ln k / d and rho^-n for the n-term acceleration of
     sum_{k>=0} (-1)^k a_k."""
     hit = _cvz_cache.get(n)
     if hit is not None:
@@ -89,7 +92,7 @@ def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
         w[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     lm = np.log(np.arange(1.0, n + 1.0))
-    _cvz_cache[n] = (d, w, lm, _EPS * float(np.dot(np.abs(w), lm)) / d)
+    _cvz_cache[n] = (d, w, lm, _EPS * float(np.dot(np.abs(w), lm)) / d, _CVZ_RHO ** (-n))
     return _cvz_cache[n]
 
 
@@ -120,47 +123,48 @@ def _batch(pts: list[complex], plans: list, kernel, finish) -> list:
     return out
 
 
-def _eta_series_bound(t_abs: float, n: int) -> float:
-    """Committed truncation bound for the accelerated eta sum; DomainError
-    where its factor 8(1 + 2t) e^(pi t / 2) leaves the floating range
-    (|Im s| above about 446.2)."""
-    try:
-        bound = 8.0 * (1.0 + 2.0 * t_abs) * math.exp(0.5 * math.pi * t_abs) * _CVZ_RHO ** (-n)
-        if math.isfinite(bound):
-            return bound
-    except OverflowError:
-        pass
-    raise DomainError(f"eta series bound overflows at height |Im s| = {t_abs}")
-
-
 def _eta_plan(s: complex) -> tuple[int, float]:
-    """Term count n for eta(s) and the truncation bound at n."""
+    """Term count n for eta(s) and the committed truncation bound at n;
+    DomainError where the bound's factor 8(1 + 2t) e^(pi t / 2) leaves the
+    floating range (|Im s| above about 446.2)."""
     if not cmath.isfinite(s):
         raise DomainError(f"eta requires a finite argument, got {s}")
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s}")
     t = abs(s.imag)
-    target = 0.5 * _TARGET_ABS_ERR
-    n = math.ceil((math.log(8.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t - math.log(target)) / _LN_CVZ_RHO) + 2
+    scale = 8.0 * (1.0 + 2.0 * t)
+    half_pi_t = _HALF_PI * t
+    n = math.ceil((math.log(scale) + half_pi_t - _LN_HALF_TARGET) / _LN_CVZ_RHO) + 2
     n = min(max(n, 8), _CVZ_MAX_N)
-    return n, _eta_series_bound(t, n)
+    try:
+        bound = scale * math.exp(half_pi_t) * _cvz_weights(n)[4]
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"eta series bound overflows at height |Im s| = {t}")
+    return n, bound
 
 
-def _eta_kernel(s, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Terms k^-a cos(b ln k) and k^-a sin(b ln k), k = 1..n, s = a + ib."""
-    lm = _cvz_weights(n)[2]
+def _eta_kernel(s, n: int) -> tuple:
+    """The weighted sums of k^-a cos(b ln k) and of k^-a sin(b ln k),
+    k = 1..n, s = a + ib: floats for a scalar s, lists for a column."""
+    _, w, lm, _, _ = _cvz_weights(n)
     amp = np.exp(-s.real * lm)
-    return amp * np.cos(s.imag * lm), amp * np.sin(s.imag * lm)
+    phase = s.imag * lm
+    return np.vecdot(amp * np.cos(phase), w).tolist(), np.vecdot(amp * np.sin(phase), w).tolist()
 
 
-def _eta_result(s: complex, n: int, bound: float, cos_terms: np.ndarray, sin_terms: np.ndarray) -> EvalResult:
-    d, w, _, phase_weight = _cvz_weights(n)
-    re = float(np.dot(w, cos_terms)) / d
-    im = -float(np.dot(w, sin_terms)) / d
-    value = complex(re, im)
+def _eta_value(s: complex, n: int, bound: float, cos_sum: float, sin_sum: float) -> tuple[complex, float]:
+    """eta(s) and its committed bound from the kernel's sums."""
+    d, _, _, phase_weight, _ = _cvz_weights(n)
+    value = complex(cos_sum / d, -sin_sum / d)
     # rounding, plus the phase error eps |b| ln k of each cos/sin(b ln k)
     err = bound + 5e-14 * (1.0 + abs(value)) + abs(s.imag) * phase_weight
-    return EvalResult(value, err, "accelerated-eta")
+    return value, err
+
+
+def _eta_result(s: complex, *plan_and_sums) -> EvalResult:
+    return EvalResult(*_eta_value(s, *plan_and_sums), "accelerated-eta")
 
 
 def eta(s: complex) -> EvalResult:
@@ -239,7 +243,7 @@ def _em_kernel(s, n: int) -> tuple[np.ndarray]:
     return (np.sum(np.exp(-s * np.log(np.arange(1.0, n))), axis=-1),)
 
 
-def _em_result(s: complex, n: int, bound: float, head) -> EvalResult:
+def _em_value(s: complex, n: int, bound: float, head) -> tuple[complex, float]:
     npow = cmath.exp(-s * math.log(n))
     value = complex(head) + npow * n / (s - 1.0) + 0.5 * npow
     poch = s
@@ -248,7 +252,7 @@ def _em_result(s: complex, n: int, bound: float, head) -> EvalResult:
         value += _EM_COEF[j - 1] * poch * scale * n ** (2 - 2 * j)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
     err = bound + 4e-15 * (1.0 + abs(value)) * math.log2(n + 1)
-    return EvalResult(value, err, "direct-series")
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +287,43 @@ def _route(s: complex) -> str:
     return "origin" if abs(s) < 1e-12 else "reflect"
 
 
-def _strip_result(s: complex, e: EvalResult) -> EvalResult:
-    """zeta(s) = eta(s) / (1 - 2^(1-s)) from e = eta(s)."""
+def _strip_value(s: complex, eta_value: complex, eta_err: float) -> tuple[complex, float]:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) and its bound, from eta's."""
     factor = 1.0 - cmath.exp((1.0 - s) * LN2)
-    value = e.value / factor
-    err = (e.abs_err_est + 4.0 * _EPS * abs(e.value)) / abs(factor) + 4.0 * _EPS * abs(value)
-    return EvalResult(value, err, "accelerated-eta")
+    value = eta_value / factor
+    err = (eta_err + 4.0 * _EPS * abs(eta_value)) / abs(factor) + 4.0 * _EPS * abs(value)
+    return value, err
+
+
+def _strip_batch_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
+    return _strip_value(s, *_eta_value(s, *plan_and_sums))
 
 
 def _zeta_strip_quotient(s: complex) -> EvalResult:
-    return _strip_result(s, eta(s))
+    e = eta(s)
+    return EvalResult(*_strip_value(s, e.value, e.abs_err_est), "accelerated-eta")
 
 
-def _zeta_average(s: complex) -> EvalResult:
+def _zeta_average(s: complex) -> tuple[complex, float]:
     # 4-point mean at radius 1e-6: the probes stay clear of the factor zero
     # while the analytic average matches zeta(s) to O(radius^4).
     probes = [_zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off) for off in (1.0, 1.0j, -1.0, -1.0j)]
     value = sum(p.value for p in probes) / 4.0
     err = max(p.abs_err_est for p in probes) + FACTOR_ZERO_RADIUS**4
-    return EvalResult(value, err, "accelerated-eta")
+    return value, err
+
+
+#: zeta(0) = -1/2 and its bound; zeta varies by ~0.92*|s| nearby.
+_ZETA_AT_ORIGIN = (complex(-0.5, 0.0), 1e-12)
+
+#: zeta's method tag on each dispatch route.
+_ROUTE_METHODS = {
+    "em": "direct-series",
+    "strip": "accelerated-eta",
+    "average": "accelerated-eta",
+    "origin": "functional-equation",
+    "reflect": "functional-equation",
+}
 
 
 def zeta(s: complex) -> EvalResult:
@@ -320,14 +342,13 @@ def zeta(s: complex) -> EvalResult:
     route = _route(s)
     if route == "em":
         n, bound = _em_plan(s)
-        return _em_result(s, n, bound, *_em_kernel(s, n))
+        return EvalResult(*_em_value(s, n, bound, *_em_kernel(s, n)), "direct-series")
     if route == "strip":
         return _zeta_strip_quotient(s)
     if route == "average":
-        return _zeta_average(s)
+        return EvalResult(*_zeta_average(s), "accelerated-eta")
     if route == "origin":
-        # Limit value at the origin; zeta varies by ~0.92*|s| nearby.
-        return EvalResult(complex(-0.5, 0.0), 1e-12, "functional-equation")
+        return EvalResult(*_ZETA_AT_ORIGIN, "functional-equation")
     return zeta_reflect(s)
 
 
@@ -338,21 +359,37 @@ def zeta_many(points) -> list[EvalResult | ZetaLabError]:
     (the same value, bound and method), or the ZetaLabError it raises.
     """
     pts = [complex(p) for p in points]
-    out = [_try(_route, s) for s in pts]
-    em, strip, reflect = ([i for i, r in enumerate(out) if r == route] for route in ("em", "strip", "reflect"))
-    for i, r in enumerate(out):
-        if r in ("average", "origin"):
-            out[i] = _try(zeta, pts[i])  # rare routes take the scalar path
+    routes = [_try(_route, s) for s in pts]
+    out = _zeta_values(pts, routes)
+    for i, route in enumerate(routes):
+        if not isinstance(out[i], ZetaLabError):
+            out[i] = EvalResult(*out[i], _ROUTE_METHODS[route])
+    return out
+
+
+def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float] | ZetaLabError]:
+    """zeta_many's (value, bound) pairs, or errors, on the given routes."""
+    out = list(routes)
+    em, strip, reflect = ([i for i, r in enumerate(routes) if r == name] for name in ("em", "strip", "reflect"))
+    for i, r in enumerate(routes):
+        if r == "average":
+            out[i] = _try(_zeta_average, pts[i])
+        elif r == "origin":
+            out[i] = _ZETA_AT_ORIGIN
         elif r == "reflect":
             out[i] = _try(_reflect_gammas, pts[i])
     em_pts = [pts[i] for i in em]
-    for i, r in zip(em, _batch(em_pts, [_em_plan(s) for s in em_pts], _em_kernel, _em_result)):
+    for i, r in zip(em, _batch(em_pts, [_em_plan(s) for s in em_pts], _em_kernel, _em_value)):
         out[i] = r
-    for i, e in zip(strip, eta_many([pts[i] for i in strip])):
-        out[i] = e if isinstance(e, ZetaLabError) else _strip_result(pts[i], e)
+    strip_pts = [pts[i] for i in strip]
+    strip_plans = [_try(_eta_plan, s) for s in strip_pts]
+    for i, r in zip(strip, _batch(strip_pts, strip_plans, _eta_kernel, _strip_batch_value)):
+        out[i] = r
     reflect = [i for i in reflect if not isinstance(out[i], ZetaLabError)]
-    for i, z1 in zip(reflect, zeta_many([1.0 - pts[i] for i in reflect]) if reflect else []):
-        out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_result(pts[i], *out[i], z1)
+    if reflect:
+        inner = [1.0 - pts[i] for i in reflect]
+        for i, z1 in zip(reflect, _zeta_values(inner, [_try(_route, s) for s in inner])):
+            out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(pts[i], *out[i], *z1)
     return out
 
 
@@ -362,16 +399,18 @@ def _reflect_gammas(s: complex) -> tuple[EvalResult, complex]:
     return gamma((1.0 - s) / 2.0), _rgamma(s / 2.0)
 
 
-def _reflect_result(s: complex, g1: EvalResult, rg: complex, z1: EvalResult) -> EvalResult:
+def _reflect_value(
+    s: complex, g1: EvalResult, rg: complex, z1_value: complex, z1_err: float
+) -> tuple[complex, float]:
     pre = cmath.exp((s - 0.5) * LN_PI)
-    value = pre * g1.value * rg * z1.value
+    value = pre * g1.value * rg * z1_value
     g_rel = g1.abs_err_est / abs(g1.value)
-    z_rel = z1.abs_err_est / max(abs(z1.value), 1e-300)
+    z_rel = z1_err / max(abs(z1_value), 1e-300)
     err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)
     if value == 0.0:
         # exact zero from the reciprocal-Gamma factor
-        err = abs(pre * g1.value * z1.value) * 1e-15
-    return EvalResult(value, err, "functional-equation")
+        err = abs(pre * g1.value * z1_value) * 1e-15
+    return value, err
 
 
 def zeta_reflect(s: complex) -> EvalResult:
@@ -388,7 +427,9 @@ def zeta_reflect(s: complex) -> EvalResult:
         raise DomainError(f"zeta_reflect requires a finite argument, got {s}")
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta_reflect undefined at s = 1")
-    return _reflect_result(s, *_reflect_gammas(s), zeta(1.0 - s))
+    g1, rg = _reflect_gammas(s)
+    z1 = zeta(1.0 - s)
+    return EvalResult(*_reflect_value(s, g1, rg, z1.value, z1.abs_err_est), "functional-equation")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from zetalab import (
     check_line_zeros,
     count_zeros_rect,
     eta,
+    eta_many,
     find_critical_zeros,
     multiplicity,
     zeta,
+    zeta_many,
 )
 from zetalab import zeros
 from zetalab.errors import (
@@ -112,6 +114,66 @@ def test_find_critical_zeros_validation():
         find_critical_zeros(10.0, 5.0, 0.01)
     with pytest.raises(ValueError):
         find_critical_zeros(1.0, 5.0, 0.1)
+
+
+def test_z_sign_changes_stay_apart_below_the_height_limit():
+    # the coarse scan of find_critical_zeros would miss two zeros that share
+    # a cell; cells are at most 0.2 wide, and below eta's height limit the
+    # closest zeros lie 0.4364 apart (t = 415.019 and 415.455). A higher
+    # ceiling breaks the first assertion, so this premise gets checked again.
+    with pytest.raises(DomainError):
+        eta(complex(0.5, 447.0))
+    step = 0.02
+    ts = np.arange(10.0, 446.0, step)
+    changes = np.flatnonzero(np.diff(zeros._z_negative(ts)))
+    assert len(changes) == 232  # zeros 1..232 of mpmath.zetazero
+    assert float(np.min(np.diff(ts[changes]))) > 0.4
+    assert zeros._COARSE_CELL <= 0.2
+
+
+#: windows around the three closest pairs of zeros below the height limit.
+CLOSE_PAIRS = [(415.0, 415.5), (375.8, 376.4), (333.6, 334.3)]
+
+
+@pytest.mark.parametrize("step", [0.05, 0.03, 0.001])
+@pytest.mark.parametrize("t_min, t_max", [*CLOSE_PAIRS, (0.05, 15.0)])
+def test_coarse_scan_matches_the_full_grid(monkeypatch, t_min, t_max, step):
+    coarse = [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, step)]
+    monkeypatch.setattr(zeros, "_COARSE_CELL", step)
+    assert coarse == [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, step)]
+    assert len(coarse) == (1 if t_min < 1.0 else 2)
+
+
+def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
+    seen = []
+
+    def counting_eta_many(points):
+        points = list(points)
+        seen.extend(points)
+        return eta_many(points)
+
+    monkeypatch.setattr(zeros, "eta_many", counting_eta_many)
+    records = find_critical_zeros(100.0, 110.0, 0.01)
+    # every 20th of the 1001 grid points plus the last, then the 19 interior
+    # points of each cell that holds a zero
+    assert len(records) == 4
+    assert len(seen) == 51 + 19 * len(records)
+
+
+def test_census_evaluates_each_waypoint_once(monkeypatch):
+    seen = []
+
+    def counting_zeta_many(points):
+        seen.extend(points)
+        return zeta_many(points)
+
+    monkeypatch.setattr(zeros, "zeta_many", counting_zeta_many)
+    r = Rect(0.4, 0.6, 14.0, 14.2)
+    assert count_zeros_rect(r, 64) == 1
+    # the closing waypoint repeats the first and reuses its value
+    waypoints = zeros._boundary_waypoints(r, 64)
+    assert waypoints[-1] == waypoints[0]
+    assert seen == waypoints[:-1]
 
 
 @pytest.mark.parametrize("t_max", [20.0, 40.0])
