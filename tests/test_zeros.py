@@ -12,11 +12,9 @@ from zetalab import (
     check_line_zeros,
     count_zeros_rect,
     eta,
-    eta_many,
     find_critical_zeros,
     multiplicity,
     zeta,
-    zeta_many,
 )
 from zetalab import zeros
 from zetalab.errors import (
@@ -26,8 +24,7 @@ from zetalab.errors import (
     EvaluationFailure,
     ZetaLabError,
 )
-from zetalab.specfun import EvalResult
-from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _try
+from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _eta_pairs, _try, _zeta_pairs
 
 
 def test_rect_validation():
@@ -57,6 +54,21 @@ def test_census_counts_pole_negative():
 def test_census_trivial_zero_inside():
     # zeros - poles on a box around s = -2
     assert count_zeros_rect(Rect(-3.0, -1.0, -1.0, 1.0)) == 1
+
+
+def test_census_counts_tall_rectangles():
+    # near t = 400 the argument of zeta on Re s = 0 turns about 4 rad per unit
+    # height; 256 samples per edge let increments wrap past pi, and read 44
+    assert count_zeros_rect(Rect(0.0, 1.0, 10.0, 446.0)) == 232  # zeros 1..232 of mpmath.zetazero
+
+
+def test_census_samples_grow_with_height():
+    waypoints = zeros._boundary_waypoints(Rect(0.0, 1.0, 10.0, 446.0), 256)
+    gaps = [abs(b - a) for a, b in zip(waypoints, waypoints[1:])]
+    assert max(gaps) <= 0.5 * math.pi / math.log(446.0 / (2.0 * math.pi))
+    # samples_per_edge is the least count: low and short edges keep it
+    assert len(zeros._boundary_waypoints(Rect(0.0, 1.0, 2.0, 30.0), 256)) == 4 * 256 + 1
+    assert len(zeros._boundary_waypoints(Rect(0.4, 0.6, 440.0, 440.2), 64)) == 4 * 64 + 1
 
 
 def test_census_returns_python_int():
@@ -147,12 +159,12 @@ def test_coarse_scan_matches_the_full_grid(monkeypatch, t_min, t_max, step):
 def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
     seen = []
 
-    def counting_eta_many(points):
+    def counting_eta_pairs(points):
         points = list(points)
         seen.extend(points)
-        return eta_many(points)
+        return _eta_pairs(points)
 
-    monkeypatch.setattr(zeros, "eta_many", counting_eta_many)
+    monkeypatch.setattr(zeros, "_eta_pairs", counting_eta_pairs)
     records = find_critical_zeros(100.0, 110.0, 0.01)
     # every 20th of the 1001 grid points plus the last, then the 19 interior
     # points of each cell that holds a zero
@@ -163,17 +175,18 @@ def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
 def test_census_evaluates_each_waypoint_once(monkeypatch):
     seen = []
 
-    def counting_zeta_many(points):
+    def counting_zeta_pairs(points):
         seen.extend(points)
-        return zeta_many(points)
+        return _zeta_pairs(points)
 
-    monkeypatch.setattr(zeros, "zeta_many", counting_zeta_many)
+    monkeypatch.setattr(zeros, "_zeta_pairs", counting_zeta_pairs)
     r = Rect(0.4, 0.6, 14.0, 14.2)
     assert count_zeros_rect(r, 64) == 1
-    # the closing waypoint repeats the first and reuses its value
+    # the closing waypoint repeats the first and reuses its value; the others
+    # are evaluated in order of height, so the vertical edges share cos/sin rows
     waypoints = zeros._boundary_waypoints(r, 64)
     assert waypoints[-1] == waypoints[0]
-    assert seen == waypoints[:-1]
+    assert seen == sorted(waypoints[:-1], key=lambda z: z.imag)
 
 
 @pytest.mark.parametrize("t_max", [20.0, 40.0])
@@ -253,10 +266,27 @@ def test_line_checks_validation():
 # ---------------------------------------------------------------------------
 
 
-def _use_scalar_calls(monkeypatch):
-    """Run the zeros module on scalar eta/zeta loops instead of batches."""
-    for name, f in (("eta_many", eta), ("zeta_many", zeta)):
-        monkeypatch.setattr(zeros, name, lambda points, f=f: [_try(f, p) for p in points])
+def _scalar_pair(f, s):
+    r = _try(f, s)
+    return r if isinstance(r, ZetaLabError) else (r.value, r.abs_err_est)
+
+
+def _use_scalar_calls(monkeypatch) -> list[complex]:
+    """Run the zeros module on scalar eta/zeta loops instead of batches; the
+    returned list collects the points those loops evaluate."""
+    seen = []
+
+    def scalar_pairs(f):
+        def pairs(points):
+            points = list(points)
+            seen.extend(points)
+            return [_scalar_pair(f, p) for p in points]
+
+        return pairs
+
+    for name, f in (("_eta_pairs", eta), ("_zeta_pairs", zeta)):
+        monkeypatch.setattr(zeros, name, scalar_pairs(f))
+    return seen
 
 
 #: zero ordinates in (10, 30) and (100, 110), from mpmath.zetazero to 20 digits.
@@ -269,8 +299,11 @@ KNOWN_ZEROS = {
 @pytest.mark.parametrize("t_min, t_max", [(10.0, 30.0), (100.0, 110.0)])
 def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
     batched = [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
-    _use_scalar_calls(monkeypatch)
+    scalar_points = _use_scalar_calls(monkeypatch)
     assert batched == [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
+    # the Z scan, every census waypoint and the multiplicity probes ran scalar
+    assert len(scalar_points) > 10 * len(batched)
+    assert sum(z.real == 0.5 + 1e-4 for z in scalar_points) == len(batched)
     assert len(batched) == {10.0: 3, 100.0: 4}[t_min]
     for located, gamma in zip(batched, KNOWN_ZEROS[t_min]):
         assert abs(located[0].imag - gamma) <= 1e-9
@@ -282,15 +315,17 @@ def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
 def test_census_batched_matches_scalar(monkeypatch, rect):
     # the last rectangle has the pole s = 1 at a corner, so it is indented
     batched = count_zeros_rect(rect)
-    _use_scalar_calls(monkeypatch)
+    scalar_points = _use_scalar_calls(monkeypatch)
     assert count_zeros_rect(rect) == batched
+    assert scalar_points == sorted(zeros._boundary_waypoints(rect, 256)[:-1], key=lambda z: z.imag)
 
 
 @pytest.mark.parametrize("line_re", [0, 1])
 def test_line_check_batched_matches_scalar(monkeypatch, line_re):
     batched = check_line_zeros(line_re, 40.0)
-    _use_scalar_calls(monkeypatch)
+    scalar_points = _use_scalar_calls(monkeypatch)
     assert check_line_zeros(line_re, 40.0) == batched
+    assert len(scalar_points) == 800
 
 
 def _scalar_census_error(r: Rect) -> ZetaLabError:
@@ -329,11 +364,11 @@ def test_first_failure_in_point_order_wins(first, second):
         for p in block:
             k = int(p.imag)
             if k == first:
-                out.append(EvalResult(1e-9, 0.0, "accelerated-eta"))
+                out.append((1e-9, 0.0))
             elif k == second:
                 out.append(EtaFactorZero(f"fault at {k}"))
             else:
-                out.append(EvalResult(1.0, 0.0, "accelerated-eta"))
+                out.append((1.0, 0.0))
         return out
 
     seen = []
@@ -349,7 +384,7 @@ def test_find_critical_zeros_checks_the_height_before_the_grid(monkeypatch, t_ma
     def no_grid(points):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(zeros, "eta_many", no_grid)
+    monkeypatch.setattr(zeros, "_eta_pairs", no_grid)
     with pytest.raises(DomainError):
         find_critical_zeros(10.0, t_max, 0.01)
 

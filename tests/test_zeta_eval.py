@@ -265,6 +265,34 @@ def test_large_height_raises_typed_errors():
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, 14.134725141734693, 150.25, 309.9, 310.5, 446.0])
+def test_memoised_eta_plan_equals_a_fresh_one(t):
+    from zetalab.zeta_eval import _eta_height_plan, _eta_plan
+
+    eta(complex(0.5, t))  # warm the memo at this height
+    hits = _eta_height_plan.cache_info().hits
+    fresh_n, fresh_bound = _eta_height_plan.__wrapped__(t)
+    for s in (complex(0.5, t), complex(1.2, -t), complex(1e-3, t)):
+        n, bound = _eta_plan(s)
+        assert n == fresh_n and bound.hex() == fresh_bound.hex()
+    assert _eta_height_plan.cache_info().hits == hits + 3
+
+
+def test_eta_still_raises_above_the_height_limit_with_a_warm_memo():
+    from zetalab import eta_many
+
+    heights = [446.0, 446.1, 446.2, 150.0]
+    eta_many([complex(0.5, t) for t in heights])
+    for t in heights:
+        eta(complex(0.7, -t))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="height"):
+            eta(0.5 + 447j)
+        with pytest.raises(DomainError, match="height"):
+            zeta(0.5 + 447j)
+    assert isinstance(eta_many([0.5 + 446j, 0.5 + 447j])[1], DomainError)
+
+
 def test_eta_and_zeta_hold_their_bounds_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2026)
