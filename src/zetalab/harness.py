@@ -25,7 +25,7 @@ from .reflect import classify_nu, kappa, _kappa_from_eta, nu
 from .reporting import CheckResult, RunConfig
 from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import _try, eta_many, zeta, zeta_floor_integral, zeta_many, zeta_reflect
+from .zeta_eval import _eta_pairs, _try, _zeta_pairs, eta_many, zeta, zeta_floor_integral, zeta_reflect
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
@@ -377,8 +377,10 @@ def all_assertions_pass(results: list[CheckResult]) -> bool:
 
 
 def _each_kappa(points) -> list:
-    """kappa at each point, in the result-or-error list form of zeta_many."""
-    return [_try(kappa, s) for s in points]
+    """kappa at each point as a (value, bound) pair or its error, the form
+    of _zeta_pairs."""
+    results = [_try(kappa, s) for s in points]
+    return [r if isinstance(r, ZetaLabError) else (r.value, r.abs_err_est) for r in results]
 
 
 def grid_scan(region: Rect, step: float, quantity: str) -> str:
@@ -394,8 +396,8 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     if step <= 0.0:
         raise ValueError("step must be positive")
     evaluators = {
-        "abs_zeta": (zeta_many, abs),
-        "abs_eta": (eta_many, abs),
+        "abs_zeta": (_zeta_pairs, abs),
+        "abs_eta": (_eta_pairs, abs),
         "abs_kappa": (_each_kappa, abs),
         "im_kappa": (_each_kappa, lambda v: v.imag),
     }
@@ -413,5 +415,5 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
                 logger.info("grid_scan: no value at %s: %s", s, r)
                 lines.append(f"{s.real!r},{s.imag!r},")
             else:
-                lines.append(f"{s.real!r},{s.imag!r},{float(pick(r.value))!r}")
+                lines.append(f"{s.real!r},{s.imag!r},{float(pick(r[0]))!r}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ the scalar calls bit for bit."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, Verbosity, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from zetalab import Rect, eta, eta_many, zeta, zeta_many  # noqa: E402
 from zetalab.errors import ZetaLabError  # noqa: E402
@@ -17,9 +17,6 @@ settings.register_profile(
     database=None,
     deadline=None,
     max_examples=60,
-    # quiet: reporting a falsifying example imports libcst, whose
-    # DeprecationWarning filterwarnings = error turns into an internal error
-    verbosity=Verbosity.quiet,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 DERANDOMIZED = settings.get_profile("derandomized")
@@ -28,8 +25,11 @@ DERANDOMIZED = settings.get_profile("derandomized")
 HEIGHTS = st.sampled_from([0.0, -0.0, 14.134725141734693, 150.25, 446.1, 446.2, 446.3, 447.0]) | st.floats(
     -460.0, 460.0
 )
-#: real parts on every dispatch route and at its edges.
-REALS = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 1.5, 1.5000000000000002, -2.0, 3.0]) | st.floats(-3.0, 3.0)
+#: real parts on every dispatch route and at its edges, and past +-3 on the
+#: Euler-Maclaurin and reflected routes (the scan grid's edges and beyond).
+REALS = st.sampled_from(
+    [0.0, 1e-3, 0.5, 1.0, 1.5, 1.5000000000000002, -2.0, 3.0, 4.05, 12.5, -3.95, -12.5]
+) | st.floats(-3.0, 3.0)
 
 
 @st.composite
