@@ -1,12 +1,20 @@
 """Record one point of the benchmark trajectory.
 
     python3 scripts/bench_trajectory.py --out BENCH_<n>.json [--root DIR]
-        [--seeds 1 2 3] [--seconds 30]
+        [--baseline-root DIR] [--seeds 1 2 3] [--seconds 30]
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) for
-every workload and seed, one run after another, and writes to --out the
-median over the seeds of each end-to-end metric, the environment, and each
-run's output digest, correctness and metrics.
+every workload and seed, and writes to --out the median over the seeds of
+each end-to-end metric, the environment, and each run's output digest,
+correctness and metrics.
+
+With --baseline-root, the checkout there runs too, alternately with --root:
+both trees run each workload and seed back to back, and the one that runs
+first flips from one pair to the next, so that a slow phase of the host
+falls on both. The record then also holds the baseline's medians and runs
+under "baseline", and under "ratio" the change/baseline ratio of the
+medians of each metric. Runs of one tree after the other do not compare
+trees on a shared host; these pairs do.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import json
 import statistics
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 WORKLOADS = ("verify", "critline", "scan")
@@ -29,34 +38,51 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     return info, json.loads(lines[-1])
 
 
+def git(root: Path, *cmd: str) -> str:
+    return subprocess.run(["git", *cmd], cwd=root, capture_output=True, text=True).stdout.strip()
+
+
+def medians(runs: list[dict]) -> dict[str, float]:
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--baseline-root", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args()
 
-    def git(*cmd: str) -> str:
-        return subprocess.run(["git", *cmd], cwd=args.root, capture_output=True, text=True).stdout.strip()
-
-    record = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "src")),  # src differs from the commit
-        "seconds": args.seconds,
-        "seeds": args.seeds,
-        "env": None,
-        "workloads": {},
-    }
-    for workload in WORKLOADS:
-        runs = []
-        for seed in args.seeds:
-            info, result = run(args.root, workload, seed, args.seconds)
-            record["env"] = info["env"]
+    roots = {"change": args.root}
+    if args.baseline_root:
+        roots["baseline"] = args.baseline_root
+    runs: dict[str, dict[str, list]] = {tree: {w: [] for w in WORKLOADS} for tree in roots}
+    env = None
+    for k, (workload, seed) in enumerate(product(WORKLOADS, args.seeds)):
+        for tree in list(roots)[:: 1 if k % 2 == 0 else -1]:
+            info, result = run(roots[tree], workload, seed, args.seconds)
+            env = info["env"]
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
-            runs.append({"seed": seed, "digest": info["digest"], "correct": result["correct"], "metrics": metrics})
-        medians = {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
-        record["workloads"][workload] = {"median": medians, "runs": runs}
+            run_record = {"seed": seed, "digest": info["digest"], "correct": result["correct"], "metrics": metrics}
+            runs[tree][workload].append(run_record)
+
+    def tree_record(tree: str) -> dict:
+        return {
+            "commit": git(roots[tree], "rev-parse", "HEAD"),
+            "dirty": bool(git(roots[tree], "status", "--porcelain", "src")),  # src differs from the commit
+            "workloads": {w: {"median": medians(r), "runs": r} for w, r in runs[tree].items()},
+        }
+
+    record = {**tree_record("change"), "seconds": args.seconds, "seeds": args.seeds, "env": env}
+    if args.baseline_root:
+        record["baseline"] = tree_record("baseline")
+        base = record["baseline"]["workloads"]
+        record["ratio"] = {
+            w: {name: m / b if (b := base[w]["median"][name]) else None for name, m in v["median"].items()}
+            for w, v in record["workloads"].items()
+        }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 

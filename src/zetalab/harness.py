@@ -25,7 +25,7 @@ from .reflect import classify_nu, kappa, _kappa_from_eta, nu
 from .reporting import CheckResult, RunConfig
 from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import _eta_pairs, _try, _zeta_pairs, eta_many, zeta, zeta_floor_integral, zeta_reflect
+from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, eta_many, zeta, zeta_floor_integral
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
@@ -93,13 +93,10 @@ def _check_symmetry(cfg: RunConfig, rng) -> tuple[float, int, str]:
             re = rng.uniform(lo, hi)
             im = rng.uniform(0.1, 30.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
             samples.append(complex(re, im))
-    for s in samples:
-        try:
-            a = zeta(s.conjugate()).value
-            b = zeta(s).value.conjugate()
-        except ZetaLabError:
-            continue
-        worst = max(worst, abs(a - b))
+    pairs = _zeta_pairs([z for s in samples for z in (s.conjugate(), s)])
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        if not (isinstance(a, ZetaLabError) or isinstance(b, ZetaLabError)):
+            worst = max(worst, abs(a[0] - b[0].conjugate()))
     return worst, len(samples), "zeta(conj s) vs conj(zeta(s)) on all three dispatch regions"
 
 
@@ -170,12 +167,10 @@ def _check_euler_bound(cfg: RunConfig, rng) -> tuple[float, int, str]:
     log_p = np.log(primes)
     worst = 0.0
     n = 50
-    for _ in range(n):
-        alpha = rng.uniform(1.1, 4.0)
-        beta = rng.uniform(0.0, 30.0)
-        s = complex(alpha, beta)
-        lower = math.exp(-float(np.sum(np.exp(-alpha * log_p))))
-        worst = max(worst, lower - abs(zeta(s).value))
+    points = [complex(rng.uniform(1.1, 4.0), rng.uniform(0.0, 30.0)) for _ in range(n)]
+    for s, z in zip(points, _zeta_pairs(points)):
+        lower = math.exp(-float(np.sum(np.exp(-s.real * log_p))))
+        worst = max(worst, lower - abs(_ok(z)[0]))
     return max(worst, 0.0), n, "exp(-sum p^-alpha) lower bound on |zeta|"
 
 
@@ -216,10 +211,8 @@ def _check_lines(cfg: RunConfig, rng) -> tuple[float, int, str]:
 def _check_funceq(cfg: RunConfig, rng) -> tuple[float, int, str]:
     pts = _sample_away_from_zeros(rng, 100, 0.05, 0.95, 0.5, 30.0)
     worst = 0.0
-    for s in pts:
-        lhs = zeta(s).value
-        rhs = zeta_reflect(s).value
-        worst = max(worst, abs(lhs - rhs))
+    for lhs, rhs in zip(_zeta_pairs(pts), _zeta_values(pts, ["reflect"] * len(pts))):
+        worst = max(worst, abs(_ok(lhs)[0] - _ok(rhs)[0]))
     return worst, len(pts), "residual of the symmetric functional equation in the strip"
 
 

@@ -153,7 +153,10 @@ def _lanczos(z: complex) -> complex:
     for k in range(1, 15):
         acc += _LANCZOS_C[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    try:
+        return math.sqrt(TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        raise Overflow(f"the Lanczos sum for Gamma({z}) exceeds the floating range") from None
 
 
 def _gamma_value(z: complex) -> complex:
@@ -191,7 +194,8 @@ def gamma(s: complex) -> EvalResult:
 
     Raises:
         PoleAtNonPositiveInteger: if s sits on (or within 1e-12 of) a pole.
-        Overflow: if the reflection path overflows the floating range.
+        Overflow: if the value, or the power in its Lanczos sum, leaves the
+            floating range.
         DomainError: s is not finite.
     """
     s = complex(s)

@@ -20,7 +20,7 @@ from .errors import (
     ZetaLabError,
 )
 from .specfun import TWO_PI
-from .zeta_eval import LN2, _eta_pairs, _eta_plan, _zeta_pairs, eta, zeta
+from .zeta_eval import LN2, _eta_pairs, _eta_plan, _zeta_pairs, zeta
 
 __all__ = [
     "Rect",
@@ -350,18 +350,19 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
             fine.extend(range(a + 1, b))
     negative[fine] = _z_negative(ts[fine])
 
+    # a grid value of exactly 0 counts as positive, so it opens one bracket;
+    # every bracket is halved at once, until it is 1e-10 wide
+    left = np.flatnonzero(negative[1:] != negative[:-1])
+    a, b, left_negative = ts[left], ts[left + 1], negative[left]
+    while (open_ := b - a > 1e-10).any():
+        m = 0.5 * (a[open_] + b[open_])
+        to_left = _z_negative(m) == left_negative[open_]
+        a[open_] = np.where(to_left, m, a[open_])
+        b[open_] = np.where(to_left, b[open_], m)
+    t_stars = (0.5 * (a + b)).tolist()
     records = []
-    # a grid value of exactly 0 counts as positive, so it opens one bracket
-    for i in np.flatnonzero(negative[1:] != negative[:-1]):
-        a, b = float(ts[i]), float(ts[i + 1])
-        while b - a > 1e-10:
-            m = 0.5 * (a + b)
-            if (_hardy_z(m, eta(complex(0.5, m)).value) < 0.0) == negative[i]:
-                a = m
-            else:
-                b = m
-        t_star = 0.5 * (a + b)
-        g_star = abs(eta(complex(0.5, t_star)).value)
+    for t_star, eta_star in zip(t_stars, _values(_eta_pairs, (complex(0.5, t) for t in t_stars))):
+        g_star = abs(eta_star)
         if g_star >= 1e-8:
             continue  # the series error of theta flipped the sign, not a zero
         if t_star > t_max:

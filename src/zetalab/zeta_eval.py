@@ -8,8 +8,9 @@ Dispatch:
     Re(s) <= 0    functional equation, reflected to Re(1-s) >= 1
 
 The series routes size themselves for one fixed absolute error target,
-_TARGET_ABS_ERR = 1e-12. zeta_many and eta_many evaluate lists of points
-through the same kernels. Everything here is pure and reentrant.
+_TARGET_ABS_ERR = 1e-12. Each function has one evaluation path, a batch:
+zeta_many and eta_many hand it lists of points, and zeta, eta and
+zeta_reflect one-point lists. Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ _FLOOR_MAX_SEGMENTS = 10_000_000
 # ---------------------------------------------------------------------------
 # Accelerated alternating series (binomial/Chebyshev weights).
 #
-# A scalar call runs a kernel on one point for 1-D terms; a batch runs it on a
-# (k, 1) column of points that share n for one row each. np.vecdot reduces each
-# row with the same BLAS dot as 1-D terms (`rows @ w` is a matrix-vector
-# product and rounds differently), and the eta tails stay in Python
-# complex/cmath/math, so batches match scalar calls bit for bit. The
-# Euler-Maclaurin tail runs on arrays, under the rules of its section.
+# Every evaluation here is a batch; eta, zeta and zeta_reflect evaluate a
+# one-point list. A kernel runs on a (k, 1) column of points that share n,
+# and a point's result does not depend on the rest of its column: numpy's
+# elementwise operations do not depend on position, and np.vecdot reduces
+# each row on its own (`rows @ w` is a matrix-vector product and rounds
+# differently).
 # ---------------------------------------------------------------------------
 
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
@@ -108,6 +109,13 @@ def _try(f, *args):
         return f(*args)
     except ZetaLabError as exc:
         return exc
+
+
+def _ok(result):
+    """result, or raise it if it is a ZetaLabError."""
+    if isinstance(result, ZetaLabError):
+        raise result
+    return result
 
 
 def _batch(pts: list[complex], plans: list, kernel, finish) -> list:
@@ -157,28 +165,24 @@ def _eta_height_plan(t: float) -> tuple[int, float]:
     return n, bound
 
 
-def _eta_kernel(s, n: int) -> tuple:
+def _eta_kernel(s: np.ndarray, n: int) -> tuple[list, list]:
     """The weighted sums of k^-a cos(b ln k) and of k^-a sin(b ln k),
-    k = 1..n, s = a + ib: floats for a scalar s, lists for a column, whose
-    points share one cos/sin row per distinct b."""
+    k = 1..n, for each point a + ib of the column s; points at one height
+    share one cos/sin row."""
     _, w, lm, _, _ = _cvz_weights(n)
-    amp = np.exp(-s.real * lm)
-    index = slice(None)
-    if isinstance(s, complex):
-        phase = s.imag * lm
-    else:
-        rows: dict[float, int] = {}
-        index = [rows.setdefault(b, len(rows)) for b in s.imag.ravel().tolist()]
-        phase = np.array(list(rows))[:, None] * lm
-        if len(rows) == len(index):
-            index = slice(None)
-    # in place where possible, so that few rows are live at once; x * amp
-    # rounds as amp * x does
-    cos = np.cos(phase)[index]
-    cos *= amp
-    sin = np.sin(phase, out=phase)[index]
-    sin *= amp
-    return np.vecdot(cos, w).tolist(), np.vecdot(sin, w).tolist()
+    rows: dict[float, int] = {}
+    index = [rows.setdefault(b, len(rows)) for b in s.imag.ravel().tolist()]
+    phase = np.array(list(rows))[:, None] * lm
+    # the cos and the sin rows in one array, so that one product and one
+    # vecdot serve both; x * amp rounds as amp * x does
+    terms = np.empty((2, *phase.shape))
+    np.cos(phase, out=terms[0])
+    np.sin(phase, out=terms[1])
+    if len(rows) < len(index):
+        terms = terms[:, index]
+    terms *= np.exp(-s.real * lm)
+    cos_sums, sin_sums = np.vecdot(terms, w).tolist()
+    return cos_sums, sin_sums
 
 
 def _eta_value(s: complex, n: int, bound: float, cos_sum: float, sin_sum: float) -> tuple[complex, float]:
@@ -188,10 +192,6 @@ def _eta_value(s: complex, n: int, bound: float, cos_sum: float, sin_sum: float)
     # rounding, plus the phase error eps |b| ln k of each cos/sin(b ln k)
     err = bound + 5e-14 * (1.0 + abs(value)) + abs(s.imag) * phase_weight
     return value, err
-
-
-def _eta_result(s: complex, *plan_and_sums) -> EvalResult:
-    return EvalResult(*_eta_value(s, *plan_and_sums), "accelerated-eta")
 
 
 def eta(s: complex) -> EvalResult:
@@ -207,9 +207,7 @@ def eta(s: complex) -> EvalResult:
     Raises:
         DomainError: if Re(s) <= 0 or s is not finite.
     """
-    s = complex(s)
-    n, bound = _eta_plan(s)
-    return _eta_result(s, n, bound, *_eta_kernel(s, n))
+    return EvalResult(*_ok(*_eta_pairs([s])), "accelerated-eta")
 
 
 def eta_many(points) -> list[EvalResult | ZetaLabError]:
@@ -218,8 +216,7 @@ def eta_many(points) -> list[EvalResult | ZetaLabError]:
     Returns one entry per point, in order: the EvalResult eta(s) returns
     (the same value, bound and method), or the ZetaLabError it raises.
     """
-    pts = [complex(p) for p in points]
-    return _batch(pts, [_try(_eta_plan, s) for s in pts], _eta_kernel, _eta_result)
+    return [r if isinstance(r, ZetaLabError) else EvalResult(*r, "accelerated-eta") for r in _eta_pairs(points)]
 
 
 def _eta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
@@ -229,76 +226,9 @@ def _eta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
 
 
 # ---------------------------------------------------------------------------
-# Direct series with Euler-Maclaurin tail, Re(s) > 1.5.
-#
-# The plan and the tail are written once: a scalar zeta runs them on complex
-# numbers, a batch on _Pairs, which must round as CPython does. On x86-64
-# (AVX-512, numpy 2.4, glibc) a 200k-point sweep found these numpy operations
-# equal to CPython/libm: real + - * /, np.sqrt, np.cos, np.sin, np.hypot (as
-# abs(complex), not math.hypot) and complex np.exp (as cmath.exp). These are
-# not, so the batch path does not use them: float np.exp (9,256 of 200k
-# differ), np.log (78), np.power (999 of 20k), and complex *, / and np.abs.
-# _Pairs writes out products and Smith quotients as CPython 3.11 does; the
-# float logs and powers stay in Python, once per distinct n or per point.
+# Direct series with Euler-Maclaurin tail, Re(s) > 1.5. The plan and the tail
+# run once per batch, on complex128 arrays of its points.
 # ---------------------------------------------------------------------------
-
-
-class _Pairs:
-    """Complex numbers held as float64 arrays of real and imaginary parts,
-    whose +, -, *, / and abs() round as CPython 3.11's complex arithmetic
-    does; a real operand y counts as y + 0.0i, as in CPython."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def __add__(self, y):
-        return _Pairs(self.real + y.real, self.imag + y.imag)
-
-    def __sub__(self, y):
-        return _Pairs(self.real - y.real, self.imag - y.imag)
-
-    def __neg__(self):
-        return _Pairs(-self.real, -self.imag)
-
-    def __mul__(self, y):  # IEEE * and + commute, so y * self rounds the same
-        return _Pairs(self.real * y.real - self.imag * y.imag, self.real * y.imag + self.imag * y.real)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, y):
-        # Smith: divide through by y's larger part, den; branch per element
-        big = abs(y.real) >= abs(y.imag)
-        num, den = np.where(big, y.imag, y.real), np.where(big, y.real, y.imag)
-        ratio = num / den
-        denom = den + num * ratio
-        p, q = np.where(big, self.real, self.imag), np.where(big, self.imag, self.real)
-        return _Pairs((p + q * ratio) / denom, np.where(big, q - p * ratio, p * ratio - q) / denom)
-
-    def __abs__(self):
-        return np.hypot(self.real, self.imag)
-
-    def complex(self) -> np.ndarray:
-        z = np.empty(np.shape(self.real), complex)
-        z.real, z.imag = self.real, self.imag
-        return z
-
-
-def _exp(z):
-    """exp(z) as cmath.exp rounds it, for a complex z or _Pairs."""
-    if isinstance(z, complex):
-        return cmath.exp(z)
-    e = np.exp(z.complex())
-    return _Pairs(e.real, e.imag)
-
-
-def _pow_each(x, y):
-    """x ** y in Python's float pow, point by point for arrays."""
-    if isinstance(x, np.ndarray):
-        return np.array([u**v for u, v in zip(x.tolist(), y.tolist())])
-    return x**y
-
 
 # B_{2j} / (2j)! for j = 1..13 (B_2 = 1/6, B_4 = -1/30, ...).
 _EM_BERNOULLI = (
@@ -318,51 +248,43 @@ _EM_BERNOULLI = (
 )
 _EM_COEF = tuple(b / math.factorial(2 * (j + 1)) for j, b in enumerate(_EM_BERNOULLI))
 _EM_ORDER = 12  # correction terms used; _EM_COEF[12] bounds the remainder
+#: 2j and B_2j/(2j)! for the correction terms j = 1..12, as columns.
+_EM_TWO_J = 2.0 * np.arange(1.0, _EM_ORDER + 1.0)[:, None]
+_EM_TERM_COEF = np.array(_EM_COEF[:_EM_ORDER])[:, None]
 
 
-def _em_plan(s):
-    """Head length n for zeta(s), as a float, and the remainder bound at n.
-    The bound stays below 1e-20, far under the target, for every Re s > 1.5
-    (tested), so n is never doubled."""
-    sigma = s.real
-    poch_abs = math.prod([abs(s + i) for i in range(2 * _EM_ORDER + 1)])
-    n = 0.75 * abs(s.imag) // 1.0 + 8.0
-    n = np.maximum(n, 16.0) if isinstance(n, np.ndarray) else max(n, 16.0)
-    p = poch_abs * _pow_each(n, -sigma - 2 * _EM_ORDER - 1)
-    return n, abs(_EM_COEF[_EM_ORDER]) * p * (abs(s) + 2 * _EM_ORDER + 1) / (sigma + 2 * _EM_ORDER + 1)
+def _em_plan(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Head lengths n for zeta at the points s, as floats, and the remainder
+    bounds at n. The bound stays below 1e-20, far under the target, for
+    every Re s > 1.5 (tested), so n is never doubled."""
+    n = np.maximum(0.75 * np.abs(s.imag) // 1.0 + 8.0, 16.0)
+    poch_abs = np.prod(np.abs(s[:, None] + np.arange(2 * _EM_ORDER + 1.0)), axis=1)
+    p = poch_abs * n ** (-s.real - 2 * _EM_ORDER - 1)
+    return n, abs(_EM_COEF[_EM_ORDER]) * p * (np.abs(s) + 2 * _EM_ORDER + 1) / (s.real + 2 * _EM_ORDER + 1)
 
 
-def _em_n_terms(n):
-    """math.log(n), math.log2(n + 1) and n ** (2 - 2j) for j = 1..12, taken
-    once per distinct n: floats, or one array each for an array n."""
-    if isinstance(n, np.ndarray):
-        rows: dict[float, int] = {}
-        index = [rows.setdefault(m, len(rows)) for m in n.tolist()]
-        return np.array([_em_n_row(m) for m in rows])[index].T
-    return _em_n_row(n)
+def _em_kernel(s: np.ndarray, n: int) -> tuple[np.ndarray]:
+    """The head sums sum_{m<n} m^-s, as the 1-tuple of rows that _batch unpacks."""
+    return (np.sum(np.exp(-s * np.log(np.arange(1.0, n))), axis=-1).tolist(),)
 
 
-@functools.lru_cache(maxsize=64)
-def _em_n_row(n: float) -> tuple[float, ...]:
-    return math.log(n), math.log2(n + 1), *[n ** (2 - 2 * j) for j in range(1, _EM_ORDER + 1)]
-
-
-def _em_kernel(s, n: int) -> tuple[np.ndarray]:
-    """The head sum_{m<n} m^-s, as the 1-tuple of rows that _batch unpacks."""
-    return (np.sum(np.exp(-s * np.log(np.arange(1.0, n))), axis=-1),)
-
-
-def _em_value(s, n, bound, head) -> tuple:
-    """zeta(s) from the head sum at n, and its committed bound."""
-    log_n, log2_n1, *n_pows = _em_n_terms(n)
-    npow = _exp(-s * log_n)
-    value = head + npow * n / (s - 1.0) + 0.5 * npow
-    poch = s
-    scale = npow / n
-    for j, (coef, n_pow) in enumerate(zip(_EM_COEF, n_pows), 1):
-        value += coef * poch * scale * n_pow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    return value, bound + 4e-15 * (1.0 + abs(value)) * log2_n1
+def _em_value(s: np.ndarray, n: np.ndarray, bound: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta at the points s from their head sums at n, and the committed bounds."""
+    npow = np.exp(-s * np.log(n))
+    # row j holds the correction term B_2j/(2j)! (s)_(2j-1) n^(1-s-2j), where
+    # (s)_(2j-1) = s (s+1) ... (s+2j-2); row 0 the rest of the value
+    rows = np.empty((_EM_ORDER + 1, len(s)), dtype=complex)
+    rows[0] = head + npow * n / (s - 1.0) + 0.5 * npow
+    rows[1] = s
+    rows[2:] = (s + _EM_TWO_J[:-1] - 1.0) * (s + _EM_TWO_J[:-1])
+    terms = np.cumprod(rows[1:], axis=0, out=rows[1:])
+    terms *= _EM_TERM_COEF
+    terms *= npow / n
+    terms *= n ** (2.0 - _EM_TWO_J)
+    # cumsum adds the rows in order, for one point as for many; a sum over
+    # axis 0 would add a single column pairwise
+    value = np.cumsum(rows, axis=0, out=rows)[-1]
+    return value, bound + 4e-15 * (1.0 + np.abs(value)) * np.log2(n + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,30 +319,22 @@ def _route(s: complex) -> str:
     return "origin" if abs(s) < 1e-12 else "reflect"
 
 
-def _strip_value(s: complex, eta_value: complex, eta_err: float) -> tuple[complex, float]:
-    """zeta(s) = eta(s) / (1 - 2^(1-s)) and its bound, from eta's."""
+def _strip_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
+    """zeta(s) = eta(s) / (1 - 2^(1-s)) and its bound, from eta's plan and
+    kernel sums."""
+    eta_value, eta_err = _eta_value(s, *plan_and_sums)
     factor = 1.0 - cmath.exp((1.0 - s) * LN2)
     value = eta_value / factor
     err = (eta_err + 4.0 * _EPS * abs(eta_value)) / abs(factor) + 4.0 * _EPS * abs(value)
     return value, err
 
 
-def _strip_batch_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
-    return _strip_value(s, *_eta_value(s, *plan_and_sums))
-
-
-def _zeta_strip_quotient(s: complex) -> EvalResult:
-    e = eta(s)
-    return EvalResult(*_strip_value(s, e.value, e.abs_err_est), "accelerated-eta")
-
-
 def _zeta_average(s: complex) -> tuple[complex, float]:
     # 4-point mean at radius 1e-6: the probes stay clear of the factor zero
     # while the analytic average matches zeta(s) to O(radius^4).
-    probes = [_zeta_strip_quotient(s + FACTOR_ZERO_RADIUS * off) for off in (1.0, 1.0j, -1.0, -1.0j)]
-    value = sum(p.value for p in probes) / 4.0
-    err = max(p.abs_err_est for p in probes) + FACTOR_ZERO_RADIUS**4
-    return value, err
+    probes = [s + FACTOR_ZERO_RADIUS * off for off in (1.0, 1.0j, -1.0, -1.0j)]
+    values, errs = zip(*map(_ok, _zeta_values(probes, ["strip"] * 4)))
+    return sum(values) / 4.0, max(errs) + FACTOR_ZERO_RADIUS**4
 
 
 #: zeta(0) = -1/2 and its bound; zeta varies by ~0.92*|s| nearby.
@@ -446,20 +360,12 @@ def zeta(s: complex) -> EvalResult:
         PoleAtOne: within 1e-12 of s = 1.
         EtaFactorZero: within 1e-9 of 1 + 2*pi*k*i/ln 2, k != 0, where the
             eta quotient degenerates.
-        DomainError: s is not finite.
+        DomainError: s is not finite, or the evaluation leaves the floating
+            range (the Euler-Maclaurin route from |s| of about 2e12).
     """
     s = complex(s)
     route = _route(s)
-    if route == "em":
-        n, bound = _em_plan(s)
-        return EvalResult(*_em_value(s, n, bound, complex(*_em_kernel(s, n))), "direct-series")
-    if route == "strip":
-        return _zeta_strip_quotient(s)
-    if route == "average":
-        return EvalResult(*_zeta_average(s), "accelerated-eta")
-    if route == "origin":
-        return EvalResult(*_ZETA_AT_ORIGIN, "functional-equation")
-    return zeta_reflect(s)
+    return EvalResult(*_ok(*_zeta_values([s], [route])), _ROUTE_METHODS[route])
 
 
 def zeta_many(points) -> list[EvalResult | ZetaLabError]:
@@ -470,11 +376,10 @@ def zeta_many(points) -> list[EvalResult | ZetaLabError]:
     """
     pts = [complex(p) for p in points]
     routes = [_try(_route, s) for s in pts]
-    out = _zeta_values(pts, routes)
-    for i, route in enumerate(routes):
-        if not isinstance(out[i], ZetaLabError):
-            out[i] = EvalResult(*out[i], _ROUTE_METHODS[route])
-    return out
+    return [
+        r if isinstance(r, ZetaLabError) else EvalResult(*r, _ROUTE_METHODS[route])
+        for r, route in zip(_zeta_values(pts, routes), routes)
+    ]
 
 
 def _zeta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
@@ -484,7 +389,9 @@ def _zeta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
 
 
 def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float] | ZetaLabError]:
-    """zeta_many's (value, bound) pairs, or errors, on the given routes."""
+    """(value, bound) pairs of zeta at pts, or errors, on the given routes;
+    an error in place of a route stands for itself. A value or bound that is
+    not finite becomes a DomainError."""
     out = list(routes)
     em, strip, reflect = ([i for i, r in enumerate(routes) if r == name] for name in ("em", "strip", "reflect"))
     for i, r in enumerate(routes):
@@ -496,24 +403,25 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
             out[i] = _try(_reflect_gammas, pts[i])
     if em:
         em_pts = [pts[i] for i in em]
-        z = np.array(em_pts)
-        s = _Pairs(z.real, z.imag)
-        with np.errstate(all="ignore"):  # inf and nan propagate, as in Python floats
+        s = np.array(em_pts)
+        with np.errstate(all="ignore"):  # inf and nan are caught below
             n, bound = _em_plan(s)
-            plans = [(m,) for m in map(int, n.tolist())]
-            heads = np.array(_batch(em_pts, plans, _em_kernel, lambda _s, _n, head: head))
-            values, errs = _em_value(s, n, bound, _Pairs(heads.real, heads.imag))
-        for i, value, err in zip(em, values.complex().tolist(), errs.tolist()):
+            heads = _batch(em_pts, [(m,) for m in map(int, n.tolist())], _em_kernel, lambda _s, _n, head: head)
+            values, errs = _em_value(s, n, bound, np.array(heads))
+        for i, value, err in zip(em, values.tolist(), errs.tolist()):
             out[i] = value, err
     strip_pts = [pts[i] for i in strip]
     strip_plans = [_try(_eta_plan, s) for s in strip_pts]
-    for i, r in zip(strip, _batch(strip_pts, strip_plans, _eta_kernel, _strip_batch_value)):
+    for i, r in zip(strip, _batch(strip_pts, strip_plans, _eta_kernel, _strip_value)):
         out[i] = r
     reflect = [i for i in reflect if not isinstance(out[i], ZetaLabError)]
     if reflect:
         inner = [1.0 - pts[i] for i in reflect]
         for i, z1 in zip(reflect, _zeta_values(inner, [_try(_route, s) for s in inner])):
             out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(pts[i], *out[i], *z1)
+    for i in em + reflect:  # the routes whose arithmetic can overflow
+        if not (isinstance(out[i], ZetaLabError) or cmath.isfinite(out[i][0]) and math.isfinite(out[i][1])):
+            out[i] = DomainError(f"zeta at s = {pts[i]} leaves the floating range on the {routes[i]} route")
     return out
 
 
@@ -551,9 +459,7 @@ def zeta_reflect(s: complex) -> EvalResult:
         raise DomainError(f"zeta_reflect requires a finite argument, got {s}")
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta_reflect undefined at s = 1")
-    g1, rg = _reflect_gammas(s)
-    z1 = zeta(1.0 - s)
-    return EvalResult(*_reflect_value(s, g1, rg, z1.value, z1.abs_err_est), "functional-equation")
+    return EvalResult(*_ok(*_zeta_values([s], ["reflect"])), "functional-equation")
 
 
 # ---------------------------------------------------------------------------

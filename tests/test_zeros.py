@@ -166,10 +166,15 @@ def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
 
     monkeypatch.setattr(zeros, "_eta_pairs", counting_eta_pairs)
     records = find_critical_zeros(100.0, 110.0, 0.01)
-    # every 20th of the 1001 grid points plus the last, then the 19 interior
-    # points of each cell that holds a zero
+    # the scan: every 20th of the 1001 grid points plus the last, then the 19
+    # interior points of each cell that holds a zero
+    grid = set((100.0 + 0.01 * np.arange(1001.0)).tolist())
+    scan = [z for z in seen if z.imag in grid]
     assert len(records) == 4
-    assert len(seen) == 51 + 19 * len(records)
+    assert len(scan) == 51 + 19 * len(records)
+    # the bisection: 27 halvings take each 0.01 bracket below 1e-10, and one
+    # more point gates its midpoint; these all lie between grid points
+    assert len(seen) - len(scan) == (27 + 1) * len(records)
 
 
 def test_census_evaluates_each_waypoint_once(monkeypatch):

@@ -21,7 +21,7 @@ from zetalab import (
 )
 from zetalab.arith import cached_table
 from zetalab.errors import DomainError, EtaFactorZero, Overflow, PoleAtOne, ZetaLabError
-from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _zeta_strip_quotient
+from zetalab.zeta_eval import FACTOR_ZERO_SPACING
 
 PI2_OVER_6 = math.pi**2 / 6.0
 
@@ -88,7 +88,7 @@ def test_zeta_near_factor_zero_uses_average():
     # O(radius^4).
     s = complex(1.0, FACTOR_ZERO_SPACING) + 1e-8
     big_r = 1e-3
-    probes = [_zeta_strip_quotient(s + big_r * o).value for o in (1, 1j, -1, -1j)]
+    probes = [eta(p).value / (1.0 - 2.0 ** (1.0 - p)) for p in (s + big_r * o for o in (1, 1j, -1, -1j))]
     oracle = sum(probes) / 4.0
     z = zeta(s)
     assert abs(z.value - oracle) < 1e-6
@@ -307,6 +307,43 @@ def test_eta_and_zeta_hold_their_bounds_against_mpmath():
             assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, (f.__name__, s)
 
 
+def test_em_and_reflected_zeta_hold_their_bounds_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2027)
+    em = [complex(rng.uniform(1.5, 40.0), rng.uniform(-400.0, 400.0)) for _ in range(125)]
+    reflected = [complex(rng.uniform(-40.0, 0.0), rng.uniform(-60.0, 60.0)) for _ in range(125)]
+    for s in em + reflected:
+        got = zeta(s)
+        assert got.method == ("direct-series" if s.real > 1.5 else "functional-equation")
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(mpmath.mpc(s.real, s.imag))
+            assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, s
+
+
+@pytest.mark.parametrize("s", [1e13, 5e12 + 3j, 1e14, 1e300])
+def test_em_route_raises_where_its_value_or_bound_leaves_the_floating_range(s):
+    from zetalab import zeta_many
+
+    # the 25-factor Pochhammer modulus overflows and meets n^(-Re s - 25) = 0
+    with pytest.raises(DomainError, match="floating range"):
+        zeta(s)
+    res = zeta_many([s, 2.0])
+    assert isinstance(res[0], DomainError) and "floating range" in str(res[0])
+    assert res[1] == zeta(2.0)
+
+
+def test_lanczos_overflow_is_a_typed_error():
+    from zetalab import zeta_many
+
+    with pytest.raises(Overflow):
+        gamma(171)
+    with pytest.raises(Overflow):
+        zeta(-1e13)  # Gamma((1 - s)/2) on the reflected route
+    res = zeta_many([-1e13, 2.0])
+    assert isinstance(res[0], Overflow)
+    assert res[1] == zeta(2.0)
+
+
 def _outcome(f, s):
     try:
         return f(s)
@@ -412,81 +449,11 @@ def test_non_finite_input_to_the_other_routes_raises_domain_error(f, s):
         f(s)
 
 
-# The Euler-Maclaurin batch path runs zeta's formulas on _Pairs, whose
-# arithmetic must round exactly as CPython's complex arithmetic does.
-
-
-def _hex_pairs(z) -> list[tuple[str, str]]:
-    return [(v.real.hex(), v.imag.hex()) for v in z]
-
-
-def _seeded_operands(n: int = 4000) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(20)
-    x = rng.uniform(-1, 1, (2, n)) * 10.0 ** rng.uniform(-3, 3, (2, n))
-    y = rng.uniform(-1, 1, (2, n)) * 10.0 ** rng.uniform(-3, 3, (2, n))
-    y[1, :500] = 0.0  # Im y = 0, as in npow / n
-    y[1, 500:600] = -0.0
-    y[1, 600:700] = y[0, 600:700]  # |Re y| = |Im y|
-    y[1, 700:800] = -y[0, 700:800]
-    y[0, 800:900] = 0.0
-    return x, y
-
-
-def test_pairs_quotient_matches_cpython_in_both_smith_branches():
-    from zetalab.zeta_eval import _Pairs
-
-    x, y = _seeded_operands()
-    big = np.abs(y[0]) >= np.abs(y[1])
-    assert big.sum() > 1000 and (~big).sum() > 1000
-    got = (_Pairs(*x) / _Pairs(*y)).complex()
-    want = [complex(*a) / complex(*b) for a, b in zip(x.T.tolist(), y.T.tolist())]
-    assert _hex_pairs(got.tolist()) == _hex_pairs(want)
-    # a real array divisor counts as y + 0.0i
-    got = (_Pairs(*x[:, 1000:]) / y[0, 1000:]).complex()
-    want = [complex(*a) / b for a, b in zip(x.T[1000:].tolist(), y[0, 1000:].tolist())]
-    assert _hex_pairs(got.tolist()) == _hex_pairs(want)
-
-
-def test_pairs_products_and_sums_match_cpython():
-    from zetalab.zeta_eval import _Pairs
-
-    x, y = _seeded_operands()
-    xs, ys = [complex(*a) for a in x.T.tolist()], [complex(*b) for b in y.T.tolist()]
-    cases = [
-        (_Pairs(*x) * _Pairs(*y), [a * b for a, b in zip(xs, ys)]),
-        (_Pairs(*x) * y[0], [a * b for a, b in zip(xs, y[0].tolist())]),
-        (0.5 * _Pairs(*x), [0.5 * a for a in xs]),
-        (-_Pairs(*x) * 2.75, [-a * 2.75 for a in xs]),
-        (_Pairs(*x) + 3 - 1, [a + 3 - 1 for a in xs]),
-        (_Pairs(*x) - _Pairs(*y), [a - b for a, b in zip(xs, ys)]),
-    ]
-    for got, want in cases:
-        assert _hex_pairs(got.complex().tolist()) == _hex_pairs(want)
-
-
-def test_hypot_and_complex_exp_match_cpython():
-    import cmath
-
-    from zetalab.zeta_eval import _exp, _Pairs
-
-    x, _ = _seeded_operands()
-    assert [v.hex() for v in abs(_Pairs(*x)).tolist()] == [abs(complex(*a)).hex() for a in x.T.tolist()]
-    # exp(-s ln n) as the tail takes it, s on the EM and reflected routes
-    rng = np.random.default_rng(21)
-    n = rng.integers(16, 400, 4000).astype(float)
-    a, b = rng.uniform(1.5, 14.0, 4000), rng.uniform(-460.0, 460.0, 4000)
-    b[:100] = 0.0
-    b[100:200] = -0.0
-    z = _Pairs(-a * np.log(n), -b * np.log(n))
-    want = [cmath.exp(complex(*p)) for p in zip(z.real.tolist(), z.imag.tolist())]
-    assert _hex_pairs(_exp(z).complex().tolist()) == _hex_pairs(want)
-
-
 def test_em_head_length_meets_the_target_without_doubling():
-    from zetalab.zeta_eval import _TARGET_ABS_ERR, _em_plan, _Pairs
+    from zetalab.zeta_eval import _TARGET_ABS_ERR, _em_plan
 
     re = np.concatenate([1.5 + np.geomspace(1e-9, 1.5, 40), np.geomspace(3.0, 1e8, 40)])
     im = np.concatenate([np.linspace(0.0, 40.0, 801), np.geomspace(40.0, 1e9, 400)])
     a, b = (g.ravel() for g in np.meshgrid(re, im))
-    _, bound = _em_plan(_Pairs(a, b))
+    _, bound = _em_plan(a + 1j * b)
     assert bound.max() < 1e-20 < 0.5 * _TARGET_ABS_ERR
