@@ -165,7 +165,7 @@ def _eta_height_plan(t: float) -> tuple[int, float]:
     return n, bound
 
 
-def _eta_kernel(s: np.ndarray, n: int) -> tuple[list, list]:
+def _eta_kernel(s: np.ndarray, n: int) -> list[list]:
     """The weighted sums of k^-a cos(b ln k) and of k^-a sin(b ln k),
     k = 1..n, for each point a + ib of the column s; points at one height
     share one cos/sin row."""
@@ -174,15 +174,14 @@ def _eta_kernel(s: np.ndarray, n: int) -> tuple[list, list]:
     index = [rows.setdefault(b, len(rows)) for b in s.imag.ravel().tolist()]
     phase = np.array(list(rows))[:, None] * lm
     # the cos and the sin rows in one array, so that one product and one
-    # vecdot serve both; x * amp rounds as amp * x does
+    # vecdot serve both
     terms = np.empty((2, *phase.shape))
     np.cos(phase, out=terms[0])
     np.sin(phase, out=terms[1])
     if len(rows) < len(index):
         terms = terms[:, index]
     terms *= np.exp(-s.real * lm)
-    cos_sums, sin_sums = np.vecdot(terms, w).tolist()
-    return cos_sums, sin_sums
+    return np.vecdot(terms, w).tolist()
 
 
 def _eta_value(s: complex, n: int, bound: float, cos_sum: float, sin_sum: float) -> tuple[complex, float]:
