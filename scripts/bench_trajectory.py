@@ -4,17 +4,18 @@
         [--baseline-root DIR] [--seeds 1 2 3] [--seconds 30]
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) for
-every workload and seed, and writes to --out the median over the seeds of
-each end-to-end metric, the environment, and each run's output digest,
-correctness and metrics.
+every workload and seed, and writes to --out the median and the quartiles
+(q1, q3) over the seeds of each end-to-end metric, the environment, and each
+run's output digest, correctness and metrics.
 
 With --baseline-root, the checkout there runs too, alternately with --root:
 both trees run each workload and seed back to back, and the one that runs
 first flips from one pair to the next, so that a slow phase of the host
 falls on both. The record then also holds the baseline's medians and runs
-under "baseline", and under "ratio" the change/baseline ratio of the
-medians of each metric. Runs of one tree after the other do not compare
-trees on a shared host; these pairs do.
+under "baseline", under "ratio" the change/baseline ratio of the
+medians of each metric, and under "wins" the number of pairs in which the
+change did better, by the metric's `better` in BENCHMARK.json. Runs of one
+tree after the other do not compare trees on a shared host; these pairs do.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ def medians(runs: list[dict]) -> dict[str, float]:
     return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
 
 
+def quartiles(runs: list[dict]) -> dict[str, list[float]]:
+    """q1 and q3 of each metric over the runs, as numpy's default computes them."""
+    out = {}
+    for name in runs[0]["metrics"]:
+        values = [r["metrics"][name] for r in runs]
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        out[name] = [q1, q3]
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -72,7 +83,9 @@ def main() -> None:
         return {
             "commit": git(roots[tree], "rev-parse", "HEAD"),
             "dirty": bool(git(roots[tree], "status", "--porcelain", "src")),  # src differs from the commit
-            "workloads": {w: {"median": medians(r), "runs": r} for w, r in runs[tree].items()},
+            "workloads": {
+                w: {"median": medians(r), "quartiles": quartiles(r), "runs": r} for w, r in runs[tree].items()
+            },
         }
 
     record = {**tree_record("change"), "seconds": args.seconds, "seeds": args.seeds, "env": env}
@@ -82,6 +95,13 @@ def main() -> None:
         record["ratio"] = {
             w: {name: m / b if (b := base[w]["median"][name]) else None for name, m in v["median"].items()}
             for w, v in record["workloads"].items()
+        }
+        specs = json.loads((args.root / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+        sign = {m["name"]: 1.0 if m["better"] == "higher" else -1.0 for m in specs}
+        pairs = {w: list(zip(runs["change"][w], runs["baseline"][w])) for w in WORKLOADS}
+        record["wins"] = {
+            w: {name: sum(sign[name] * (c["metrics"][name] - b["metrics"][name]) > 0 for c, b in ps) for name in sign}
+            for w, ps in pairs.items()
         }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 

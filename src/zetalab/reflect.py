@@ -15,6 +15,7 @@ from .errors import (
     EtaTwoSZero,
     NearPole,
     NearZeroOfZeta,
+    Overflow,
     ZeroInput,
     ZetaLabError,
 )
@@ -79,6 +80,7 @@ def nu(s: complex) -> EvalResult:
         NearPole: within 1e-9 of s = 1, or where the cosine factor vanishes
             identically (exact odd-integer conj argument).
         NearZeroOfZeta: where |zeta(s)| is too small to condition the ratio.
+        Overflow: the value or its bound leaves the floating range.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-9:
@@ -94,6 +96,8 @@ def nu(s: complex) -> EvalResult:
     value = cmath.exp(sb * LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
     z_rel = z.abs_err_est / abs(z.value)
     err = abs(value) * (6e-13 + 2.0 * z_rel + 8.0 * _EPS)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise Overflow(f"nu({s}) leaves the floating range")
     return EvalResult(value, err, "functional-equation")
 
 

@@ -9,6 +9,7 @@ that conjugate symmetry holds bit-exactly.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -156,7 +157,13 @@ def _lanczos(z: complex) -> complex:
     try:
         return math.sqrt(TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
-        raise Overflow(f"the Lanczos sum for Gamma({z}) exceeds the floating range") from None
+        # from Re z of about 143 the power overflows before exp(-t) shrinks it;
+        # its square root does not, up to Gamma's own overflow near 171.6
+        with contextlib.suppress(OverflowError):
+            p = t ** ((w + 0.5) / 2)
+            if cmath.isfinite(value := math.sqrt(TWO_PI) * p * (cmath.exp(-t) * p) * acc):
+                return value
+    raise Overflow(f"the Lanczos sum for Gamma({z}) exceeds the floating range")
 
 
 def _gamma_value(z: complex) -> complex:

@@ -17,10 +17,9 @@ from .errors import (
     BoundaryTooCloseToZero,
     EvaluationFailure,
     NonIntegerWinding,
-    ZetaLabError,
 )
 from .specfun import TWO_PI
-from .zeta_eval import LN2, _eta_pairs, _eta_plan, _zeta_pairs, zeta
+from .zeta_eval import _EPS, LN2, _eta_pairs, _eta_plan, _ok, _try, _zeta_pairs, zeta
 
 __all__ = [
     "Rect",
@@ -46,8 +45,8 @@ _MAX_SUBDIVISION_DEPTH = 48
 #: width of the coarse cells of the critical-line scan; below eta's height
 #: limit the closest zeros lie 0.4364 apart, so no cell holds two of them.
 _COARSE_CELL = 0.2
-#: points per batch call. 32 ran critline's winding squares about 12% faster
-#: but added about 0.2 MB (0.6%) to its peak RSS; 64 added 0.3 MB more.
+#: points per batch call. On a 150-unit critline window, 32 and 64 ran the
+#: finder and its census no faster than 16, and added 0.1-0.3 MB to peak RSS.
 _BLOCK = 16
 
 
@@ -91,13 +90,13 @@ class Rect:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A located zero: position, residual magnitude there, estimated order,
-    and how it was confirmed."""
+    """A located zero: position, residual magnitude there, order (proven 1
+    when winding-confirmed, else estimated), and how it was confirmed."""
 
     location: complex
     refined_abs_value: float
     multiplicity_estimate: float
-    method: str  # 'minimum-refinement' | 'winding-confirmed'
+    method: str  # 'winding-confirmed' (certified by the finder) | 'minimum-refinement'
 
     def __post_init__(self) -> None:
         if not self.refined_abs_value < 1e-6:
@@ -137,14 +136,6 @@ def _clip_segment_outside_circle(
     return pieces
 
 
-def _value(pair) -> complex:
-    """The value of an evaluator's (value, bound) pair; raises it if it is
-    an error instead."""
-    if isinstance(pair, ZetaLabError):
-        raise pair
-    return pair[0]
-
-
 def _blocks(pairs, points):
     """pairs(block) for _BLOCK points per call, chained in point order."""
     points = iter(points)
@@ -155,7 +146,7 @@ def _blocks(pairs, points):
 def _values(pairs, points):
     """Values of pairs(block), _BLOCK points per call, in point order;
     raises the first ZetaLabError where a scalar loop over points would."""
-    return map(_value, _blocks(pairs, points))
+    return (_ok(pair)[0] for pair in _blocks(pairs, points))
 
 
 def _above_floor(z: complex, val: complex) -> complex:
@@ -248,13 +239,10 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     # heights coincide, share their cos/sin rows; checked in waypoint order.
     # The loop closes on waypoints[0], whose value is already known.
     order = sorted(range(len(waypoints) - 1), key=lambda i: waypoints[i].imag)
-    values = [None] * len(order)
+    pairs = [None] * len(order)
     for i, pair in zip(order, _blocks(_zeta_pairs, (waypoints[i] for i in order))):
-        values[i] = pair if isinstance(pair, ZetaLabError) else pair[0]
-    for z, value in zip(waypoints, values):
-        if isinstance(value, ZetaLabError):
-            raise value
-        _above_floor(z, value)
+        pairs[i] = pair
+    values = [_above_floor(z, _ok(pair)[0]) for z, pair in zip(waypoints, pairs)]
     values.append(values[0])
 
     total = 0.0
@@ -285,29 +273,40 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     return int(nearest)
 
 
-def _hardy_z(t: float, eta_value: complex) -> float:
-    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)), zeta taken from
-    eta_value = eta(1/2 + it) and theta from its Stirling series.
-
-    The series is off by more than pi/2 below t = 0.2, and diverges as
-    t -> 0; theta takes t >= 1e-3 so that it stays finite. No zero lies
-    that low, and the |eta| gate of the finder rejects a spurious sign change.
-    """
+def _theta(t: float) -> tuple[float, float]:
+    """Riemann-Siegel theta(t) by its Stirling series, and from t = 10 a bound
+    on its error: twice the first omitted term 31/(80640 t^5) (Gabcke 1979),
+    plus 4 eps (1 + t + |theta|) for rounding. The series is off by more than
+    pi/2 below t = 0.2 and diverges as t -> 0, so t is floored at 1e-3; the
+    finder's |eta| gate rejects the spurious sign changes down there."""
     u = max(t, 1e-3)
     theta = 0.5 * u * math.log(u / TWO_PI) - 0.5 * u - math.pi / 8.0 + 1.0 / (48.0 * u) + 7.0 / (5760.0 * u**3)
-    return (cmath.exp(1j * theta) * eta_value / (1.0 - cmath.exp(complex(0.5, -t) * LN2))).real
+    return theta, 31.0 / (40320.0 * u**5) + 4.0 * _EPS * (1.0 + u + abs(theta))
 
 
-def _z_negative(ts: np.ndarray) -> np.ndarray:
-    """Whether Z(t) < 0, at each t of ts."""
-    etas = _values(_eta_pairs, (complex(0.5, t) for t in ts))
-    return np.fromiter(map(_hardy_z, map(float, ts), etas), float, len(ts)) < 0.0
+def _hardy_z(t: float, eta_value: complex, eta_err: float) -> tuple[float, float]:
+    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) from eta(1/2 + it),
+    and its bound: eta's over |1 - 2^(1/2 - it)|, plus |zeta| times the phase
+    errors of theta and of 2^(-it); inf below t = 10."""
+    theta, theta_err = _theta(t)
+    factor = 1.0 - cmath.exp(complex(0.5, -t) * LN2)
+    z = (cmath.exp(1j * theta) * eta_value / factor).real
+    if t < 10.0:
+        return z, math.inf
+    return z, (eta_err + abs(eta_value) * (theta_err + 4.0 * _EPS * t)) / abs(factor)
+
+
+def _z_signs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether Z(t) < 0, and whether |Z(t)| exceeds its bound, at each t of ts."""
+    etas = _blocks(_eta_pairs, (complex(0.5, t) for t in ts))
+    z, bound = np.fromiter((_hardy_z(t, *_ok(pair)) for t, pair in zip(map(float, ts), etas)), (float, 2), len(ts)).T
+    return z < 0.0, np.abs(z) > bound
 
 
 def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRecord]:
     """Find the sign changes of Hardy's Z on a grid, bisect each to a 1e-10
-    bracket, keep those where |eta| < 1e-8, confirm each by a winding count
-    on a 0.2 x 0.2 square, and attach a multiplicity estimate.
+    bracket, keep those where |eta| < 1e-8, and certify them together by one
+    winding census of the window.
 
     The scan runs coarse to fine. Z is evaluated at every m-th grid point,
     m = max(1, int(0.2 / step)), and at the last one; then at the interior
@@ -315,6 +314,13 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
     height limit the closest zeros lie 0.4364 apart, at t = 415.019 and
     415.455 (mpmath zetazero, the first 236 zeros), so no cell holds two of
     them, and the scan finds the sign changes of the full grid.
+
+    A sign change with |Z| above Z's bound at both grid ends proves a zero on
+    the line. If all are proven and count_zeros_rect(Rect(0, 1, t_min, t_max))
+    counts as many, every zero of the window is on the line and simple (Brent
+    1979): the records are 'winding-confirmed', of multiplicity 1. Otherwise
+    (the census raises, or two zeros share a cell) a warning is logged, and
+    the records are 'minimum-refinement', with multiplicity() of zeta.
 
     Args:
         t_min, t_max: scan window, 0 < t_min < t_max.
@@ -335,52 +341,44 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
     # height limit is checked at that point before the grid exists
     n_steps = float(np.ceil((t_max - t_min) / step))
     _eta_plan(complex(0.5, t_min + n_steps * step))
+    # the census runs first, so that its waypoints and the scan's arrays never coexist
+    census = _try(count_zeros_rect, Rect(0.0, 1.0, t_min, t_max))
     ts = t_min + step * np.arange(n_steps + 1.0)
     # Z's sign at every m-th grid point and the last one; a coarse cell whose
     # ends share a sign holds no zero, and its interior takes that sign
     last = len(ts) - 1
     coarse = list(range(0, last, max(1, int(_COARSE_CELL / step)))) + [last]
     negative = np.empty(len(ts), dtype=bool)
-    negative[coarse] = _z_negative(ts[coarse])
+    clear = np.zeros(len(ts), dtype=bool)
+    negative[coarse], clear[coarse] = _z_signs(ts[coarse])
     fine = []
     for a, b in zip(coarse, coarse[1:]):
         if negative[a] == negative[b]:
             negative[a + 1 : b] = negative[a]
         else:
             fine.extend(range(a + 1, b))
-    negative[fine] = _z_negative(ts[fine])
+    negative[fine], clear[fine] = _z_signs(ts[fine])
 
     # a grid value of exactly 0 counts as positive, so it opens one bracket;
     # every bracket is halved at once, until it is 1e-10 wide
     left = np.flatnonzero(negative[1:] != negative[:-1])
+    proven = (clear[left] & clear[left + 1]).tolist()
     a, b, left_negative = ts[left], ts[left + 1], negative[left]
     while (open_ := b - a > 1e-10).any():
         m = 0.5 * (a[open_] + b[open_])
-        to_left = _z_negative(m) == left_negative[open_]
+        to_left = _z_signs(m)[0] == left_negative[open_]
         a[open_] = np.where(to_left, m, a[open_])
         b[open_] = np.where(to_left, b[open_], m)
     t_stars = (0.5 * (a + b)).tolist()
-    records = []
-    for t_star, eta_star in zip(t_stars, _values(_eta_pairs, (complex(0.5, t) for t in t_stars))):
-        g_star = abs(eta_star)
-        if g_star >= 1e-8:
-            continue  # the series error of theta flipped the sign, not a zero
-        if t_star > t_max:
-            continue  # the last grid point lies past t_max
-        location = complex(0.5, t_star)
-        method = "minimum-refinement"
-        try:
-            square = Rect(0.4, 0.6, t_star - 0.1, t_star + 0.1)
-            if count_zeros_rect(square, 64) == 1:
-                method = "winding-confirmed"
-        except ZetaLabError as exc:
-            logger.warning("winding confirmation failed at t=%.6f: %s", t_star, exc)
-        # the ten probes share the height t_star, so one batch evaluates them
-        probes = [z for level in _multiplicity_probes(location, 1e-4) for z in level]
-        known = dict(zip(probes, _zeta_pairs(probes)))
-        mult = multiplicity(lambda z: _value(known[z]), location, 1e-4)
-        records.append(ZeroRecord(location, g_star, mult, method))
-    return records
+    g_stars = map(abs, _values(_eta_pairs, (complex(0.5, t) for t in t_stars)))
+    # |eta| >= 1e-8: the series error of theta flipped the sign, not a zero;
+    # t > t_max: the last grid point lies past t_max
+    kept = [(complex(0.5, t), g, p) for t, g, p in zip(t_stars, g_stars, proven) if g < 1e-8 and t <= t_max]
+    n_proven = sum(p for *_, p in kept)
+    if n_proven == len(kept) == census:
+        return [ZeroRecord(z, g, 1.0, "winding-confirmed") for z, g, _ in kept]
+    logger.warning("window [%g, %g] unconfirmed: %d of %d proven, census %s", t_min, t_max, n_proven, len(kept), census)
+    return [ZeroRecord(z, g, multiplicity(lambda s: zeta(s).value, z, 1e-4), "minimum-refinement") for z, g, _ in kept]
 
 
 def multiplicity(f, a: complex, eps: float) -> float:
@@ -407,31 +405,19 @@ def multiplicity(f, a: complex, eps: float) -> float:
         raise ValueError("eps must lie in [1e-6, 1e-3]")
 
     w = []
-    for e, (z, *offset) in zip((eps, 0.5 * eps), _multiplicity_probes(a, eps)):
+    for e in (eps, 0.5 * eps):
+        z = a + e
+        h = e / 10.0
         try:
-            f0, f_plus, f_minus, f_plus2, f_minus2 = [f(z), *map(f, offset)]
+            f0, f_plus, f_minus, f_plus2, f_minus2 = map(f, (z, z + h, z - h, z + 0.5 * h, z - 0.5 * h))
         except Exception as exc:  # noqa: BLE001 - contract: wrap evaluator faults
             raise EvaluationFailure(f"evaluator failed near {z}: {exc}") from exc
-        h = e / 10.0
-        d_h = (f_plus - f_minus) / (2.0 * h)
-        d_h2 = (f_plus2 - f_minus2) / h
-        deriv = (4.0 * d_h2 - d_h) / 3.0
+        deriv = (4.0 * ((f_plus2 - f_minus2) / h) - (f_plus - f_minus) / (2.0 * h)) / 3.0
         w.append((e * deriv / f0).real)
     w1, w2 = w
     if abs(w1 - w2) > 0.05:
         logger.warning("multiplicity levels disagree by %.3f at %s; low confidence", abs(w1 - w2), a)
     return 2.0 * w2 - w1
-
-
-def _multiplicity_probes(a: complex, eps: float) -> list[list[complex]]:
-    """multiplicity's probe points at its levels e = eps and eps/2, in the
-    order it evaluates them: z = a + e, then z +- h and z +- h/2, h = e/10."""
-    levels = []
-    for e in (eps, 0.5 * eps):
-        z = a + e
-        h = e / 10.0
-        levels.append([z, z + h, z - h, z + 0.5 * h, z - 0.5 * h])
-    return levels
 
 
 def check_line_zeros(line_re: float, t_max: float) -> tuple[float, int, str]:

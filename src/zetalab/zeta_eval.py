@@ -151,7 +151,7 @@ def _eta_plan(s: complex) -> tuple[int, float]:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _eta_height_plan(t: float) -> tuple[int, float]:
     """_eta_plan at height t = |Im s|, on which alone it depends; memoised,
-    since a winding square's waypoints share a few dozen heights."""
+    since each edge of a census meets its heights at several waypoints."""
     scale = 8.0 * (1.0 + 2.0 * t)
     half_pi_t = _HALF_PI * t
     n = math.ceil((math.log(scale) + half_pi_t - _LN_HALF_TARGET) / _LN_CVZ_RHO) + 2

@@ -12,6 +12,7 @@ from zetalab.errors import (
     EtaTwoSZero,
     NearPole,
     NearZeroOfZeta,
+    Overflow,
     ZeroInput,
 )
 from zetalab.reflect import nu_direct
@@ -82,6 +83,12 @@ def test_nu_guards():
         nu(complex(0.5, 14.1347251417))  # first critical zero
     with pytest.raises(NearZeroOfZeta):
         nu(-2.0)  # trivial zero of zeta
+
+
+def test_nu_raises_where_its_arithmetic_overflows():
+    # 1/Gamma(conj s) overflows by reflection and meets inf / inf, not NaN
+    with pytest.raises(Overflow):
+        nu(-107.5 - 143.0j)
 
 
 def test_nu_vanishes_toward_even_negatives():

@@ -152,3 +152,18 @@ def test_xi_functional_equation():
 def test_gamma_reflection_overflow_is_typed():
     with pytest.raises(Overflow):
         gamma(-0.5 + 500j)
+
+
+def test_gamma_is_finite_where_the_lanczos_power_alone_overflows():
+    mpmath = pytest.importorskip("mpmath")
+    # from Re s of about 143 t^(s - 1/2) overflows before exp(-t) shrinks it
+    for s in (143.0, 150.5, 171.5, 160.0 + 20.0j):
+        got = gamma(s)
+        with mpmath.workdps(30):
+            ref = mpmath.gamma(mpmath.mpc(s))
+        assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, s
+    # the reflected route's Gamma((1 - s)/2) stays finite on these trivial zeros
+    for s in (-286.0, -300.0, -330.0):
+        assert zeta(s).value == 0.0
+    with pytest.raises(Overflow):
+        gamma(172.0)  # Gamma(172) = 171! exceeds the floating range

@@ -102,6 +102,50 @@ def test_find_critical_zeros_window():
         assert rec.method == "winding-confirmed"
 
 
+def test_find_critical_zeros_falls_back_when_the_census_raises(caplog):
+    t0 = find_critical_zeros(14.0, 14.3, 0.01)[0].location.imag
+    # the census's top edge now runs through the zero, so it raises
+    with pytest.raises(BoundaryTooCloseToZero):
+        count_zeros_rect(Rect(0.0, 1.0, 14.0, t0))
+    with caplog.at_level("WARNING", logger="zetalab.zeros"):
+        (rec,) = find_critical_zeros(14.0, t0, 0.01)
+    assert "unconfirmed" in caplog.text
+    assert rec.location == complex(0.5, t0)
+    assert rec.method == "minimum-refinement"
+    assert rec.multiplicity_estimate == multiplicity(_zeta_value, rec.location, 1e-4)
+    assert abs(rec.multiplicity_estimate - 1.0) < 1e-2
+
+
+def test_find_critical_zeros_falls_back_when_the_census_disagrees(monkeypatch):
+    confirmed = find_critical_zeros(10.0, 30.0, 0.01)
+    assert [(r.multiplicity_estimate, r.method) for r in confirmed] == [(1.0, "winding-confirmed")] * 3
+    windows = []
+
+    def census_plus_one(r):
+        windows.append(r)
+        return count_zeros_rect(r) + 1
+
+    monkeypatch.setattr(zeros, "count_zeros_rect", census_plus_one)
+    records = find_critical_zeros(10.0, 30.0, 0.01)
+    assert windows == [Rect(0.0, 1.0, 10.0, 30.0)]  # one census per call
+    assert [r.location for r in records] == [r.location for r in confirmed]
+    for rec in records:
+        assert rec.method == "minimum-refinement"
+        assert abs(rec.multiplicity_estimate - 1.0) < 1e-2
+
+
+def test_hardy_z_holds_its_bound_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.random.default_rng(2029).uniform(10.0, 446.0, 200).tolist()
+    for t, (eta_value, eta_err) in zip(ts, _eta_pairs([complex(0.5, t) for t in ts])):
+        z, z_err = zeros._hardy_z(t, eta_value, eta_err)
+        theta, theta_err = zeros._theta(t)
+        with mpmath.workdps(30):
+            assert float(abs(mpmath.siegelz(t) - z)) <= z_err, t
+            # the Stirling remainder of theta, which dominates below t = 60
+            assert float(abs(mpmath.siegeltheta(t) - theta)) <= theta_err, t
+
+
 def test_find_critical_zeros_empty_window():
     assert find_critical_zeros(1.0, 10.0, 0.01) == []
 
@@ -137,8 +181,13 @@ def test_z_sign_changes_stay_apart_below_the_height_limit():
         eta(complex(0.5, 447.0))
     step = 0.02
     ts = np.arange(10.0, 446.0, step)
-    changes = np.flatnonzero(np.diff(zeros._z_negative(ts)))
+    negative, clear = zeros._z_signs(ts)
+    changes = np.flatnonzero(np.diff(negative))
     assert len(changes) == 232  # zeros 1..232 of mpmath.zetazero
+    # |Z| clears its bound at both ends of each, so each proves a zero, up to
+    # t = 327; above, eta's 300-term cap lets eta's bound grow like e^(pi t / 2)
+    proven = clear[changes] & clear[changes + 1]
+    assert proven[ts[changes] < 327.0].all()
     assert float(np.min(np.diff(ts[changes]))) > 0.4
     assert zeros._COARSE_CELL <= 0.2
 
@@ -306,9 +355,10 @@ def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
     batched = [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
     scalar_points = _use_scalar_calls(monkeypatch)
     assert batched == [dataclasses.astuple(z) for z in find_critical_zeros(t_min, t_max, 0.01)]
-    # the Z scan, every census waypoint and the multiplicity probes ran scalar
+    # the Z scan and every census waypoint ran scalar; certified zeros need
+    # no multiplicity probe
     assert len(scalar_points) > 10 * len(batched)
-    assert sum(z.real == 0.5 + 1e-4 for z in scalar_points) == len(batched)
+    assert not any(z.real == 0.5 + 1e-4 for z in scalar_points)
     assert len(batched) == {10.0: 3, 100.0: 4}[t_min]
     for located, gamma in zip(batched, KNOWN_ZEROS[t_min]):
         assert abs(located[0].imag - gamma) <= 1e-9
