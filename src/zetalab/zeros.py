@@ -412,7 +412,9 @@ def multiplicity(f, a: complex, eps: float) -> float:
             f0, f_plus, f_minus, f_plus2, f_minus2 = map(f, (z, z + h, z - h, z + 0.5 * h, z - 0.5 * h))
         except Exception as exc:  # noqa: BLE001 - contract: wrap evaluator faults
             raise EvaluationFailure(f"evaluator failed near {z}: {exc}") from exc
-        deriv = (4.0 * ((f_plus2 - f_minus2) / h) - (f_plus - f_minus) / (2.0 * h)) / 3.0
+        d_h = (f_plus - f_minus) / (2.0 * h)
+        d_h2 = (f_plus2 - f_minus2) / h
+        deriv = (4.0 * d_h2 - d_h) / 3.0
         w.append((e * deriv / f0).real)
     w1, w2 = w
     if abs(w1 - w2) > 0.05:
