@@ -17,6 +17,7 @@ from .errors import (
     BoundaryTooCloseToZero,
     EvaluationFailure,
     NonIntegerWinding,
+    PoleAtOne,
 )
 from .specfun import TWO_PI
 from .zeta_eval import _EPS, LN2, _eta_pairs, _eta_plan, _ok, _try, _zeta_pairs, zeta
@@ -32,12 +33,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: boundary clearance demanded from known zeros (and the pole when not indented).
+#: boundary clearance demanded from the trivial zeros.
 BOUNDARY_CLEARANCE = 1e-6
-#: indent the contour around the pole s=1 when it sits this close to the boundary.
-_INDENT_TRIGGER = 1e-4
-#: radius of the indentation arc.
-_INDENT_RADIUS = 1e-2
+#: the pole s = 1 counts in the census only this far inside the boundary.
+_POLE_CLEARANCE = 1e-4
 #: |zeta| below this on the boundary means a zero is unresolvably close.
 _BOUNDARY_ZETA_FLOOR = 5e-7
 
@@ -60,6 +59,8 @@ class Rect:
     im_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise ValueError("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle must satisfy re_min < re_max and im_min < im_max")
 
@@ -110,32 +111,6 @@ class ZeroRecord:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _clip_segment_outside_circle(
-    p: complex, q: complex, center: complex, radius: float
-) -> list[tuple[complex, complex]]:
-    """Sub-segments of [p, q] lying outside the disk, in walk order."""
-    d = q - p
-    a = abs(d) ** 2
-    if a == 0.0:
-        return [(p, q)] if abs(p - center) >= radius else []
-    b = 2.0 * ((p - center).real * d.real + (p - center).imag * d.imag)
-    c = abs(p - center) ** 2 - radius * radius
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return [(p, q)]  # no crossing; tangency keeps the whole segment
-    sq = math.sqrt(disc)
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    t1c = min(max(t1, 0.0), 1.0)
-    t2c = min(max(t2, 0.0), 1.0)
-    pieces = []
-    if t1c > 0.0:
-        pieces.append((p, p + t1c * d))
-    if t2c < 1.0:
-        pieces.append((p + t2c * d, q))
-    return pieces
-
-
 def _blocks(pairs, points):
     """pairs(block) for _BLOCK points per call, chained in point order."""
     points = iter(points)
@@ -155,63 +130,45 @@ def _above_floor(z: complex, val: complex) -> complex:
     return val
 
 
-def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
-    """Closed counterclockwise waypoint loop, with a clockwise indentation
-    arc around the pole s = 1 whenever it hugs the boundary."""
-    corners = r.corners
-    edges = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
-    pole = 1.0 + 0.0j
-    indent = r.boundary_distance(pole) < _INDENT_TRIGGER
+def _pole_free(z: complex, zeta_at) -> complex:
+    """(z - 1) zeta(z), where zeta_at() returns zeta(z) or raises, with
+    |zeta(z)| held to the boundary floor; the limit 1 where zeta_at raises
+    PoleAtOne."""
+    try:
+        return (z - 1.0) * _above_floor(z, zeta_at())
+    except PoleAtOne:
+        return 1.0
 
-    pieces: list[tuple[complex, complex, float, int]] = []
-    for p, q in edges:
-        edge_len = abs(q - p)
+
+def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
+    """Closed counterclockwise waypoint loop, evenly spaced on each edge."""
+    corners = r.corners
+    waypoints: list[complex] = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
         # zeta's argument turns by about ln(T / 2 pi) per unit of height T, so
         # samples at most (pi/2) / ln(T / 2 pi) apart cannot wrap past pi
         height = max(abs(p.imag), abs(q.imag))
-        n_edge = samples_per_edge
+        n = samples_per_edge
         if height > TWO_PI:
-            n_edge = max(n_edge, math.ceil(edge_len * math.log(height / TWO_PI) / (0.5 * math.pi)))
-        subs = (
-            _clip_segment_outside_circle(p, q, pole, _INDENT_RADIUS) if indent else [(p, q)]
-        )
-        pieces.extend((a, b, edge_len, n_edge) for a, b in subs)
-    if not pieces:
-        raise ValueError("rectangle degenerates to the indentation disk")
-
-    waypoints: list[complex] = []
-    n_pieces = len(pieces)
-    for i, (p, q, edge_len, n_edge) in enumerate(pieces):
-        n_pts = max(2, int(math.ceil(n_edge * abs(q - p) / edge_len)))
-        for j in range(n_pts):
-            waypoints.append(p + (q - p) * (j / n_pts))
-        nxt = pieces[(i + 1) % n_pieces][0]
-        if abs(q - nxt) > 1e-12:
-            # gap swallowed by the disk: go clockwise around the pole so the
-            # excised neighborhood (and the pole) stays outside the contour
-            th_q = cmath.phase(q - pole)
-            th_n = cmath.phase(nxt - pole)
-            sweep = (th_q - th_n) % (2.0 * math.pi)
-            n_arc = 64
-            waypoints.append(q)
-            for j in range(1, n_arc):
-                waypoints.append(pole + _INDENT_RADIUS * cmath.exp(1j * (th_q - sweep * j / n_arc)))
+            n = max(n, math.ceil(abs(q - p) * math.log(height / TWO_PI) / (0.5 * math.pi)))
+        waypoints.extend(p + (q - p) * (j / n) for j in range(n))
     waypoints.append(waypoints[0])
     return waypoints
 
 
 def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
-    """Zeros minus poles of zeta inside r, by the accumulated argument change
-    of zeta along the discretized boundary divided by 2*pi.
+    """Zeros minus poles of zeta inside r: the accumulated argument change of
+    the entire function (s - 1) zeta(s) along the discretized boundary,
+    divided by 2*pi, counts the zeros, and the pole s = 1 is subtracted when
+    it lies inside r at least 1e-4 from the boundary. A pole nearer the
+    boundary, or on it, is not counted.
 
     Each edge takes at least samples_per_edge samples, and more at height:
     adjacent samples lie at most (pi/2) / ln(T / 2 pi) apart, T the edge's
     largest |Im s|, since zeta's argument turns about ln(T / 2 pi) per unit
     of height there. Edges are then refined adaptively until consecutive
-    argument increments stay below pi/2. If the pole s = 1 lies within 1e-4
-    of the boundary the contour is indented around it (radius 1e-2),
-    excluding it from the census; a zero that close to the boundary raises
-    instead.
+    argument increments stay below pi/2. The floor on |zeta| applies to
+    zeta itself, and within 1e-12 of s = 1 the product takes its limit 1.
 
     Args:
         r: the rectangle; its boundary must clear every zero by 1e-6.
@@ -226,12 +183,13 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     if samples_per_edge < 64:
         raise ValueError("samples_per_edge must be >= 64")
 
-    # trivial zeros sit on the real axis at -2, -4, ...
-    k = 2
-    while -k >= r.re_min - 1.0:
-        if r.boundary_distance(complex(-k, 0.0)) < BOUNDARY_CLEARANCE:
+    # trivial zeros sit on the real axis at -2, -4, ...; one lies within the
+    # clearance only next to a vertical edge, or anywhere along a horizontal
+    # edge at Im s = 0, where the rightmost one in range is met first
+    nearest_edges = {-2 * round(x / 2.0) for x in (r.re_min, r.re_max)}
+    for k in sorted(nearest_edges | {max(2, 2 * math.ceil(-r.re_max / 2.0))}):
+        if k >= 2 and -k >= r.re_min - 1.0 and r.boundary_distance(complex(-k, 0.0)) < BOUNDARY_CLEARANCE:
             raise BoundaryTooCloseToZero(f"boundary within {BOUNDARY_CLEARANCE} of trivial zero {-k}")
-        k += 2
 
     waypoints = _boundary_waypoints(r, samples_per_edge)
 
@@ -242,7 +200,7 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     pairs = [None] * len(order)
     for i, pair in zip(order, _blocks(_zeta_pairs, (waypoints[i] for i in order))):
         pairs[i] = pair
-    values = [_above_floor(z, _ok(pair)[0]) for z, pair in zip(waypoints, pairs)]
+    values = [_pole_free(z, lambda: _ok(pair)[0]) for z, pair in zip(waypoints, pairs)]
     values.append(values[0])
 
     total = 0.0
@@ -260,7 +218,7 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
         if budget[0] <= 0:
             raise BoundaryTooCloseToZero("winding refinement budget exhausted")
         zm = 0.5 * (z1 + z2)
-        fm = _above_floor(zm, zeta(zm).value)
+        fm = _pole_free(zm, lambda: zeta(zm).value)
         return accumulate(z1, zm, f1, fm, depth + 1) + accumulate(zm, z2, fm, f2, depth + 1)
 
     for i in range(len(waypoints) - 1):
@@ -270,7 +228,8 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     nearest = round(winding)
     if abs(winding - nearest) > 0.1:
         raise NonIntegerWinding(f"winding {winding:.4f} is not within 0.1 of an integer")
-    return int(nearest)
+    pole_inside = min(1.0 - r.re_min, r.re_max - 1.0, -r.im_min, r.im_max) >= _POLE_CLEARANCE
+    return int(nearest) - pole_inside
 
 
 def _theta(t: float) -> tuple[float, float]:

@@ -72,23 +72,16 @@ _FLOOR_MAX_SEGMENTS = 10_000_000
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
 _LN_CVZ_RHO = math.log(_CVZ_RHO)
 _CVZ_MAX_N = 300
-_cvz_cache: dict[int, tuple[float, np.ndarray, np.ndarray, float, float]] = {}
 
 #: one batch kernel call covers about this many terms at most (rows x n).
 _BATCH_TERMS = 1 << 16
-#: heights whose eta plan is kept. The census meets the points at one height
-#: one after another, as it evaluates them in order of height; a memo of 64
-#: churned through scan's 401-height columns and raised its peak RSS by 0.5%.
-_PLAN_CACHE_SIZE = 8
 
 
+@functools.cache
 def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float, float]:
     """Normalizer d, signed weights w_k, the table ln 1..ln n,
     eps * sum_k |w_k| ln k / d and rho^-n for the n-term acceleration of
     sum_{k>=0} (-1)^k a_k."""
-    hit = _cvz_cache.get(n)
-    if hit is not None:
-        return hit
     d = _CVZ_RHO**n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
@@ -99,8 +92,7 @@ def _cvz_weights(n: int) -> tuple[float, np.ndarray, np.ndarray, float, float]:
         w[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     lm = np.log(np.arange(1.0, n + 1.0))
-    _cvz_cache[n] = (d, w, lm, _EPS * float(np.dot(np.abs(w), lm)) / d, _CVZ_RHO ** (-n))
-    return _cvz_cache[n]
+    return d, w, lm, _EPS * float(np.dot(np.abs(w), lm)) / d, _CVZ_RHO ** (-n)
 
 
 def _try(f, *args):
@@ -145,13 +137,7 @@ def _eta_plan(s: complex) -> tuple[int, float]:
         raise DomainError(f"eta requires a finite argument, got {s}")
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s}")
-    return _eta_height_plan(abs(s.imag))
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _eta_height_plan(t: float) -> tuple[int, float]:
-    """_eta_plan at height t = |Im s|, on which alone it depends; memoised,
-    since each edge of a census meets its heights at several waypoints."""
+    t = abs(s.imag)
     scale = 8.0 * (1.0 + 2.0 * t)
     half_pi_t = _HALF_PI * t
     n = math.ceil((math.log(scale) + half_pi_t - _LN_HALF_TARGET) / _LN_CVZ_RHO) + 2
@@ -437,10 +423,8 @@ def _reflect_value(
     value = pre * g1.value * rg * z1_value
     g_rel = g1.abs_err_est / abs(g1.value)
     z_rel = z1_err / max(abs(z1_value), 1e-300)
+    # where 1/Gamma(s/2) is exactly 0, zeta(s) = 0 exactly, and so is err
     err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)
-    if value == 0.0:
-        # exact zero from the reciprocal-Gamma factor
-        err = abs(pre * g1.value * z1_value) * 1e-15
     return value, err
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_rect_validation():
         Rect(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 1.0, 2.0, 2.0)
+    for bounds in ((0.0, 1.0, 0.0, math.inf), (-math.inf, 0.0, 1.0, 2.0), (0.0, math.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Rect(*bounds)
+
+
+def test_census_of_a_wide_rectangle_fails_fast():
+    # the trivial zeros are checked only where they can meet the boundary,
+    # not one by one down to re_min
+    start = time.perf_counter()
+    with pytest.raises(ZetaLabError):
+        count_zeros_rect(Rect(-1e12, 0.0, 1.0, 2.0))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_samples_per_edge_minimum():
@@ -47,8 +60,21 @@ def test_census_single_zero():
     assert count_zeros_rect(Rect(0.0, 1.0, 13.0, 15.0)) == 1
 
 
-def test_census_counts_pole_negative():
-    assert count_zeros_rect(Rect(0.5, 1.5, -0.5, 0.5)) == -1
+@pytest.mark.parametrize(
+    "rect, count",
+    [
+        (Rect(0.5, 1.5, -0.5, 0.5), -1),  # inside, far from the boundary
+        (Rect(0.0, 2.0, 0.0, 1.0), 0),  # on an edge's interior
+        (Rect(1.0, 2.0, 0.0, 1.0), 0),  # at a corner
+        (Rect(0.99995, 1.5, -0.3, 0.2), 0),  # within 1e-4 inside
+        (Rect(0.9998, 1.5, -0.3, 0.2), -1),  # just past 1e-4 inside
+        (Rect(1.00005, 1.5, -0.3, 0.2), 0),  # outside
+        (Rect(0.99995, 1.00005, -5e-5, 5e-5), 0),  # a tiny box around it
+    ],
+)
+def test_census_counts_pole_negative(rect, count):
+    # the pole s = 1 counts only when it lies at least 1e-4 inside
+    assert count_zeros_rect(rect) == count
 
 
 def test_census_trivial_zero_inside():
@@ -368,7 +394,8 @@ def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
     "rect", [Rect(0.0, 1.0, 0.0, 30.0), Rect(-3.0, 2.0, -5.0, 5.0), Rect(1.0, 2.0, 0.0, 1.0)]
 )
 def test_census_batched_matches_scalar(monkeypatch, rect):
-    # the last rectangle has the pole s = 1 at a corner, so it is indented
+    # the last rectangle has the pole s = 1 at a corner, a waypoint where
+    # zeta raises and (s - 1) zeta(s) takes its limit 1
     batched = count_zeros_rect(rect)
     scalar_points = _use_scalar_calls(monkeypatch)
     assert count_zeros_rect(rect) == batched

@@ -58,8 +58,11 @@ def test_zeta_at_zero():
     assert abs(zeta(0.0).value - (-0.5)) < 1e-10
 
 
-def test_zeta_trivial_zero():
-    assert abs(zeta(-2.0).value) < 1e-12
+@pytest.mark.parametrize("s", [-2.0, -284.0, -330.0])
+def test_zeta_trivial_zero(s):
+    # 1/Gamma(s/2) is exactly 0 there, so the value and its error are too
+    r = zeta(s)
+    assert r.value == 0.0 and r.abs_err_est == 0.0
 
 
 def test_zeta_pole_raises():
@@ -265,20 +268,7 @@ def test_large_height_raises_typed_errors():
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
 
 
-@pytest.mark.parametrize("t", [0.0, 0.3, 14.134725141734693, 150.25, 309.9, 310.5, 446.0])
-def test_memoised_eta_plan_equals_a_fresh_one(t):
-    from zetalab.zeta_eval import _eta_height_plan, _eta_plan
-
-    eta(complex(0.5, t))  # warm the memo at this height
-    hits = _eta_height_plan.cache_info().hits
-    fresh_n, fresh_bound = _eta_height_plan.__wrapped__(t)
-    for s in (complex(0.5, t), complex(1.2, -t), complex(1e-3, t)):
-        n, bound = _eta_plan(s)
-        assert n == fresh_n and bound.hex() == fresh_bound.hex()
-    assert _eta_height_plan.cache_info().hits == hits + 3
-
-
-def test_eta_still_raises_above_the_height_limit_with_a_warm_memo():
+def test_eta_raises_above_the_height_limit_on_every_call():
     from zetalab import eta_many
 
     heights = [446.0, 446.1, 446.2, 150.0]
