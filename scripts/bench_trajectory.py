@@ -16,6 +16,9 @@ under "baseline", under "ratio" the change/baseline ratio of the
 medians of each metric, and under "wins" the number of pairs in which the
 change did better, by the metric's `better` in BENCHMARK.json. Runs of one
 tree after the other do not compare trees on a shared host; these pairs do.
+Under "digests_equal" it records, and it prints, per workload, whether
+every change run gave the baseline run's output digest for the same seed,
+so a record shows whether the change moved any output byte.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ def main() -> None:
             w: {name: sum(sign[name] * (c["metrics"][name] - b["metrics"][name]) > 0 for c, b in ps) for name in sign}
             for w, ps in pairs.items()
         }
+        record["digests_equal"] = {w: all(c["digest"] == b["digest"] for c, b in ps) for w, ps in pairs.items()}
+        for w, ps in pairs.items():
+            same = sum(c["digest"] == b["digest"] for c, b in ps)
+            print(f"{w}: {same} of {len(ps)} change runs give the baseline's digest for the same seed")
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 

@@ -399,14 +399,16 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     many, pick = evaluators[quantity]
     lines = ["re,im,value"]
     res = np.arange(region.re_min, region.re_max + 0.5 * step, step)
-    ims = np.arange(region.im_min, region.im_max + 0.5 * step, step)
-    for re in res:
+    ims = np.arange(region.im_min, region.im_max + 0.5 * step, step).tolist()
+    im_texts = [f",{im!r}," for im in ims]
+    for re in res.tolist():
         # one column (fixed Re) per batch call keeps the batch arrays small
-        column = [complex(float(re), float(im)) for im in ims]
-        for s, r in zip(column, many(column)):
+        column = [complex(re, im) for im in ims]
+        re_text = repr(re)
+        for s, im_text, r in zip(column, im_texts, many(column)):
             if isinstance(r, ZetaLabError):
                 logger.info("grid_scan: no value at %s: %s", s, r)
-                lines.append(f"{s.real!r},{s.imag!r},")
+                lines.append(re_text + im_text)
             else:
-                lines.append(f"{s.real!r},{s.imag!r},{float(pick(r[0]))!r}")
+                lines.append(f"{re_text}{im_text}{float(pick(r[0]))!r}")
     return "\n".join(lines) + "\n"

@@ -119,16 +119,25 @@ def theta(s: complex) -> EvalResult:
     Raises:
         DenominatorZero: within 1e-9 of a zero of (1 - 2^(1-s)).
         DomainError: s is not finite.
+        Overflow: theta leaves the floating range (Re s below about -1024).
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"theta requires a finite argument, got {s}")
     if _nearest_factor_zero(s)[1] < 1e-9:
         raise DenominatorZero(f"theta denominator vanishes near {s}")
-    num = 1.0 - cmath.exp((1.0 - 2.0 * s) * LN2)
-    den = 1.0 - cmath.exp((1.0 - s) * LN2)
-    value = num / den
-    err = 4.0 * _EPS * (abs(value) + (1.0 + abs(num)) / abs(den))
+    try:
+        num = 1.0 - cmath.exp((1.0 - 2.0 * s) * LN2)
+        den = 1.0 - cmath.exp((1.0 - s) * LN2)
+        value = num / den
+        err = 4.0 * _EPS * (abs(value) + (1.0 + abs(num)) / abs(den))
+    except OverflowError:  # 4^-s overflows from Re s of about -511, where |2^-s| >= 2^511
+        try:  # theta = 2^-s + 1/2 - 1/(2 (2^(1-s) - 1)); the bound carries the rounding of -s ln 2
+            x = cmath.exp(-s * LN2)
+            value = x + 0.5 - 0.25 / (x - 0.5)
+            err = abs(value) * _EPS * (2.0 * abs(s) * LN2 + 8.0)
+        except OverflowError:
+            raise Overflow(f"theta({s}) exceeds the floating range") from None
     return EvalResult(value, err, "rational-approx")
 
 

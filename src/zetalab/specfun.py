@@ -49,6 +49,7 @@ _EPS_BOUND = 2.3e-16
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
+_SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,13 @@ def _cos_sin_pi_half(x: float) -> tuple[float, float]:
     return c, s
 
 
-def _cos_sin_pi(x: float) -> tuple[float, float]:
-    """Return (cos(pi*x), sin(pi*x)), exact at integer and half-integer x."""
-    return _cos_sin_pi_half(2.0 * x)
-
-
 def _sin_pi_complex(z: complex) -> complex:
     """sin(pi*z) with exact argument reduction of the real part.
 
     Keeps full relative accuracy arbitrarily close to the zeros of sin,
     which the naive cmath.sin(pi*z) loses for |Re(z)| >> 1.
     """
-    c, s = _cos_sin_pi(z.real)
+    c, s = _cos_sin_pi_half(2.0 * z.real)
     y = math.pi * z.imag
     try:
         return complex(s * math.cosh(y), c * math.sinh(y))
@@ -150,34 +146,22 @@ _GAMMA_REL_ERR_FAR = 1e-11
 def _lanczos(z: complex) -> complex:
     """Gamma(z) for Re(z) >= 0.5 via the Lanczos sum."""
     w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_C[k] / (w + k)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _LANCZOS_C
+    # the terms added left to right, as a loop would add them
+    acc = (c0 + c1 / (w + 1) + c2 / (w + 2) + c3 / (w + 3) + c4 / (w + 4) + c5 / (w + 5) + c6 / (w + 6)
+           + c7 / (w + 7) + c8 / (w + 8) + c9 / (w + 9) + c10 / (w + 10) + c11 / (w + 11) + c12 / (w + 12)
+           + c13 / (w + 13) + c14 / (w + 14))
     t = w + _LANCZOS_G + 0.5
     try:
-        return math.sqrt(TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
+        return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
         # from Re z of about 143 the power overflows before exp(-t) shrinks it;
         # its square root does not, up to Gamma's own overflow near 171.6
         with contextlib.suppress(OverflowError):
             p = t ** ((w + 0.5) / 2)
-            if cmath.isfinite(value := math.sqrt(TWO_PI) * p * (cmath.exp(-t) * p) * acc):
+            if cmath.isfinite(value := _SQRT_TWO_PI * p * (cmath.exp(-t) * p) * acc):
                 return value
     raise Overflow(f"the Lanczos sum for Gamma({z}) exceeds the floating range")
-
-
-def _gamma_value(z: complex) -> complex:
-    if z.real >= 0.5:
-        return _lanczos(z)
-    # Reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z)).
-    return math.pi / (_sin_pi_complex(z) * _lanczos(1.0 - z))
-
-
-def _nearest_nonpositive_integer(s: complex) -> int | None:
-    k = round(s.real)
-    if k <= 0 and abs(s - k) < POLE_TOL:
-        return k
-    return None
 
 
 def _rgamma(z: complex) -> complex:
@@ -205,19 +189,25 @@ def gamma(s: complex) -> EvalResult:
             floating range.
         DomainError: s is not finite.
     """
-    s = complex(s)
+    return EvalResult(*_gamma_pair(complex(s)), "rational-approx")
+
+
+def _gamma_pair(s: complex) -> tuple[complex, float]:
+    """gamma(s)'s value and bound; raises what gamma(s) raises."""
     if not cmath.isfinite(s):
         raise DomainError(f"gamma requires a finite argument, got {s}")
-    if _nearest_nonpositive_integer(s) is not None:
+    k = round(s.real)
+    if k <= 0 and abs(s - k) < POLE_TOL:
         raise PoleAtNonPositiveInteger(f"gamma pole at or near {s}")
-    value = _gamma_value(s)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)) or value == 0.0:
+    if s.real >= 0.5:
+        value = _lanczos(s)
+    else:  # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1 - s))
+        value = math.pi / (_sin_pi_complex(s) * _lanczos(1.0 - s))
+    if not cmath.isfinite(value) or value == 0.0:
         raise Overflow(f"gamma({s}) exceeds the floating range")
     if abs(s) <= 20.0 and abs(s.imag) <= 50.0:
-        rel = _GAMMA_REL_ERR
-    else:
-        rel = _GAMMA_REL_ERR_FAR
-    return EvalResult(value, rel * abs(value), "rational-approx")
+        return value, _GAMMA_REL_ERR * abs(value)
+    return value, _GAMMA_REL_ERR_FAR * abs(value)
 
 
 def recip_gamma_euler(s: complex, terms: int) -> EvalResult:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, EtaFactorZero, PoleAtOne, ZetaLabError
-from .specfun import EvalResult, _rgamma, gamma
+from .specfun import EvalResult, _gamma_pair, _rgamma
 
 __all__ = [
     "zeta",
@@ -360,7 +360,7 @@ def zeta_many(points) -> list[EvalResult | ZetaLabError]:
     (the same value, bound and method), or the ZetaLabError it raises.
     """
     pts = [complex(p) for p in points]
-    routes = [_try(_route, s) for s in pts]
+    routes = _routes(pts)
     return [
         r if isinstance(r, ZetaLabError) else EvalResult(*r, _ROUTE_METHODS[route])
         for r, route in zip(_zeta_values(pts, routes), routes)
@@ -370,7 +370,18 @@ def zeta_many(points) -> list[EvalResult | ZetaLabError]:
 def _zeta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
     """zeta_many's (value, bound) pairs, or errors."""
     pts = [complex(p) for p in points]
-    return _zeta_values(pts, [_try(_route, s) for s in pts])
+    return _zeta_values(pts, _routes(pts))
+
+
+def _routes(pts: list[complex]) -> list:
+    """_route of each point, or the error it raises."""
+    out = []
+    for s in pts:
+        try:
+            out.append(_route(s))
+        except ZetaLabError as exc:
+            out.append(exc)
+    return out
 
 
 def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float] | ZetaLabError]:
@@ -378,14 +389,19 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
     an error in place of a route stands for itself. A value or bound that is
     not finite becomes a DomainError."""
     out = list(routes)
-    em, strip, reflect = ([i for i, r in enumerate(routes) if r == name] for name in ("em", "strip", "reflect"))
+    em, strip = ([i for i, r in enumerate(routes) if r == name] for name in ("em", "strip"))
+    reflect = []
     for i, r in enumerate(routes):
-        if r == "average":
+        if r == "reflect":
+            try:  # Gamma((1-s)/2), its bound and 1/Gamma(s/2); their errors come before zeta(1-s)'s
+                out[i] = *_gamma_pair((1.0 - pts[i]) / 2.0), _rgamma(pts[i] / 2.0)
+                reflect.append(i)
+            except ZetaLabError as exc:
+                out[i] = exc
+        elif r == "average":
             out[i] = _try(_zeta_average, pts[i])
         elif r == "origin":
             out[i] = _ZETA_AT_ORIGIN
-        elif r == "reflect":
-            out[i] = _try(_reflect_gammas, pts[i])
     if em:
         em_pts = [pts[i] for i in em]
         s = np.array(em_pts)
@@ -399,10 +415,9 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
     strip_plans = [_try(_eta_plan, s) for s in strip_pts]
     for i, r in zip(strip, _batch(strip_pts, strip_plans, _eta_kernel, _strip_value)):
         out[i] = r
-    reflect = [i for i in reflect if not isinstance(out[i], ZetaLabError)]
     if reflect:
         inner = [1.0 - pts[i] for i in reflect]
-        for i, z1 in zip(reflect, _zeta_values(inner, [_try(_route, s) for s in inner])):
+        for i, z1 in zip(reflect, _zeta_values(inner, _routes(inner))):
             out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(pts[i], *out[i], *z1)
     for i in em + reflect:  # the routes whose arithmetic can overflow
         if not (isinstance(out[i], ZetaLabError) or cmath.isfinite(out[i][0]) and math.isfinite(out[i][1])):
@@ -410,18 +425,12 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
     return out
 
 
-def _reflect_gammas(s: complex) -> tuple[EvalResult, complex]:
-    """Gamma((1-s)/2) and 1/Gamma(s/2); their errors come before those of
-    the inner zeta(1-s)."""
-    return gamma((1.0 - s) / 2.0), _rgamma(s / 2.0)
-
-
 def _reflect_value(
-    s: complex, g1: EvalResult, rg: complex, z1_value: complex, z1_err: float
+    s: complex, g: complex, g_err: float, rg: complex, z1_value: complex, z1_err: float
 ) -> tuple[complex, float]:
     pre = cmath.exp((s - 0.5) * LN_PI)
-    value = pre * g1.value * rg * z1_value
-    g_rel = g1.abs_err_est / abs(g1.value)
+    value = pre * g * rg * z1_value
+    g_rel = g_err / abs(g)
     z_rel = z1_err / max(abs(z1_value), 1e-300)
     # where 1/Gamma(s/2) is exactly 0, zeta(s) = 0 exactly, and so is err
     err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)

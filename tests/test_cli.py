@@ -44,6 +44,15 @@ def test_eval_other_functions(capsys):
         assert "value_re" in json.loads(out)
 
 
+def test_eval_theta_far_left_is_a_value_or_a_json_error(capsys):
+    code, out = run_cli(["eval", "-1000", "0", "--fn", "theta"], capsys)
+    assert code == 0
+    assert json.loads(out)["value_re"] == pytest.approx(2.0**1000)
+    code, out = run_cli(["eval", "-1100", "0", "--fn", "theta"], capsys)
+    assert code == 1
+    assert "floating range" in json.loads(out)["error"]
+
+
 def test_eval_error_is_reported(capsys):
     code, out = run_cli(["eval", "1", "0"], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 """conj_ratio, the reflection factor nu and its classification, theta, kappa."""
 
+import cmath
 import math
 
 import numpy as np
@@ -124,6 +125,25 @@ def test_theta_denominator_zero():
         theta(1.0 + 1e-10j)
     with pytest.raises(DenominatorZero):
         theta(complex(1.0, FACTOR_ZERO_SPACING) + 1e-11)
+
+
+@pytest.mark.parametrize("im", [0.0, -0.0, 5.0, -37.5, 1e4])
+def test_theta_far_left_is_a_bounded_value_or_overflow(im):
+    mpmath = pytest.importorskip("mpmath")
+    # 4^-s overflows from Re s of about -511 and 2^-s from -1024
+    for re in np.linspace(-1100.0, -900.0, 81):
+        s = complex(re, im)
+        try:
+            got = theta(s)
+        except Overflow:
+            assert re < -1023.0, s
+            continue
+        assert re > -1025.0, s
+        assert cmath.isfinite(got.value) and math.isfinite(got.abs_err_est)
+        with mpmath.workdps(40):
+            ms = mpmath.mpc(s.real, s.imag)
+            ref = (1 - 2 / mpmath.power(4, ms)) / (1 - 2 / mpmath.power(2, ms))
+            assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, s
 
 
 def test_kappa_is_eta_ratio():

@@ -1,13 +1,15 @@
 """Gamma, reciprocal Gamma, half-angle cosine, and the xi reflection factor."""
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from zetalab import gamma, half_cos, recip_gamma_euler, xi_factor, zeta
-from zetalab.errors import Overflow, PoleAtNonPositiveInteger
+from zetalab.errors import Overflow, PoleAtNonPositiveInteger, ZetaLabError
+from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos
 
 SQRT_PI = 1.7724538509055160273
 
@@ -167,3 +169,60 @@ def test_gamma_is_finite_where_the_lanczos_power_alone_overflows():
         assert zeta(s).value == 0.0
     with pytest.raises(Overflow):
         gamma(172.0)  # Gamma(172) = 171! exceeds the floating range
+
+
+def _lanczos_loop(z: complex) -> complex:
+    """The Lanczos sum with its terms added in a loop, the reference that
+    _lanczos's one expression must match bit for bit."""
+    w = z - 1.0
+    acc = _LANCZOS_C[0]
+    for k in range(1, 15):
+        acc += _LANCZOS_C[k] / (w + k)
+    t = w + _LANCZOS_G + 0.5
+    try:
+        return math.sqrt(TWO_PI) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        with contextlib.suppress(OverflowError):
+            p = t ** ((w + 0.5) / 2)
+            if cmath.isfinite(value := math.sqrt(TWO_PI) * p * (cmath.exp(-t) * p) * acc):
+                return value
+    raise Overflow(f"the Lanczos sum for Gamma({z}) exceeds the floating range")
+
+
+def _bits(f, *args):
+    """float.hex of the real and imaginary parts of each number f returns,
+    or the type and message of the ZetaLabError it raises."""
+    try:
+        out = f(*args)
+    except ZetaLabError as exc:
+        return type(exc), str(exc)
+    return [(c.real.hex(), c.imag.hex()) for c in map(complex, out if isinstance(out, tuple) else (out,))]
+
+
+def test_lanczos_sum_is_bit_identical_to_the_loop_form():
+    rng = np.random.default_rng(16)
+    near = [complex(rng.uniform(0.5, 40.0), rng.uniform(-60.0, 60.0)) for _ in range(1500)]
+    # from Re z of about 143 the sum takes the power in two halves; past 171.6 it overflows
+    far = [complex(rng.uniform(143.0, 175.0), rng.uniform(-30.0, 30.0)) for _ in range(450)]
+    real = [complex(x, sign) for x in rng.uniform(0.5, 172.0, 25) for sign in (0.0, -0.0)]
+    overflows = 0
+    for z in near + far + real:
+        got = _bits(_lanczos, z)
+        assert got == _bits(_lanczos_loop, z), z
+        overflows += isinstance(got, tuple)
+    assert 0 < overflows < len(far)  # both values and overflows were compared there
+
+
+def test_gamma_is_the_private_pair_as_an_eval_result():
+    rng = np.random.default_rng(61)
+    points = [complex(rng.uniform(-30.0, 30.0), rng.uniform(-80.0, 80.0)) for _ in range(400)]
+    points += [-3.0, complex(-3.0, 1e-13), 172.0, complex(math.nan, 0.0), -0.5 + 500j, 2.5, complex(-7.5, -0.0)]
+    for s in points:
+        pair = _bits(_gamma_pair, complex(s))
+        try:
+            got = gamma(s)
+        except ZetaLabError as exc:
+            assert (type(exc), str(exc)) == pair, s
+            continue
+        assert got.method == "rational-approx"
+        assert pair == _bits(lambda: (got.value, got.abs_err_est)), s

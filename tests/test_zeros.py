@@ -38,12 +38,23 @@ def test_rect_validation():
             Rect(*bounds)
 
 
-def test_census_of_a_wide_rectangle_fails_fast():
-    # the trivial zeros are checked only where they can meet the boundary,
-    # not one by one down to re_min
+@pytest.mark.parametrize(
+    "r, error",
+    [
+        # the trivial zeros are checked only where they can meet the boundary,
+        # not one by one down to re_min
+        (Rect(-1e12, 0.0, 1.0, 2.0), ZetaLabError),
+        # eta's height limit is checked before 205,903 waypoints exist
+        (Rect(0.0, 1.0, 0.0, 2e4), DomainError),
+        (Rect(-3.0, -0.5, -1e9, 1.0), DomainError),
+        (Rect(1.5, 4.0, 10.0, 500.0), DomainError),
+    ],
+    ids=["wide", "tall-strip", "band-left-edge", "band-right-edge"],
+)
+def test_census_fails_fast(r, error):
     start = time.perf_counter()
-    with pytest.raises(ZetaLabError):
-        count_zeros_rect(Rect(-1e12, 0.0, 1.0, 2.0))
+    with pytest.raises(error):
+        count_zeros_rect(r)
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,6 +1,7 @@
 """zeta/eta evaluators, their alternative representations, and cross-route
 agreement. Expected values are frozen from the independent oracles below."""
 
+import cmath
 import math
 
 import numpy as np
@@ -320,6 +321,33 @@ def test_em_route_raises_where_its_value_or_bound_leaves_the_floating_range(s):
     res = zeta_many([s, 2.0])
     assert isinstance(res[0], DomainError) and "floating range" in str(res[0])
     assert res[1] == zeta(2.0)
+
+
+def _reflected_reference(s: complex) -> tuple[complex, float]:
+    """zeta(s) on the reflected route and its bound, from gamma(), _rgamma and
+    zeta(1 - s) by the functional equation's formula term for term."""
+    from zetalab.specfun import _rgamma
+    from zetalab.zeta_eval import _EPS
+
+    g1, rg, z1 = gamma((1.0 - s) / 2.0), _rgamma(s / 2.0), zeta(1.0 - s)
+    value = cmath.exp((s - 0.5) * math.log(math.pi)) * g1.value * rg * z1.value
+    rel = g1.abs_err_est / abs(g1.value) + 6e-13 + z1.abs_err_est / max(abs(z1.value), 1e-300) + 8.0 * _EPS
+    return value, abs(value) * rel
+
+
+def test_reflected_zeta_many_is_bit_identical_to_the_reference_formula():
+    from zetalab import zeta_many
+
+    rng = np.random.default_rng(1804)
+    points = [complex(rng.uniform(-60.0, 0.0), rng.uniform(-80.0, 80.0)) for _ in range(300)]
+    points += [complex(rng.uniform(-0.5, 0.0), rng.uniform(-40.0, 40.0)) for _ in range(60)]  # zeta(1-s) in the strip
+    points += [complex(-2.0 * k, sign) for k in (1, 2, 7, 142) for sign in (0.0, -0.0)]  # trivial zeros
+    points += [complex(x, sign) for x in rng.uniform(-30.0, -1e-3, 20) for sign in (0.0, -0.0)]
+    for s, got in zip(points, zeta_many(points)):
+        value, bound = _reflected_reference(s)
+        assert got.method == "functional-equation"
+        assert (got.value.real.hex(), got.value.imag.hex()) == (value.real.hex(), value.imag.hex()), s
+        assert got.abs_err_est.hex() == bound.hex(), s
 
 
 def test_lanczos_overflow_is_a_typed_error():
