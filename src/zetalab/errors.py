@@ -21,10 +21,6 @@ class PoleAtOne(ZetaLabError):
     """zeta evaluated within 1e-12 of its pole s = 1."""
 
 
-class EtaFactorZero(ZetaLabError):
-    """s within 1e-9 of a zero of (1 - 2^(1-s)) with nonzero index."""
-
-
 class DomainError(ZetaLabError):
     """Argument outside the operation's convergence/validity region."""
 

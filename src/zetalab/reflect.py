@@ -20,7 +20,7 @@ from .errors import (
     ZetaLabError,
 )
 from .specfun import LOG_TWO_PI, EvalResult, _rgamma, half_cos
-from .zeta_eval import _EPS, LN2, _nearest_factor_zero, eta, zeta
+from .zeta_eval import _EPS, LN2, _factor_zero_distance, eta, zeta
 
 __all__ = [
     "NuClassification",
@@ -93,7 +93,10 @@ def nu(s: complex) -> EvalResult:
     if cos_term == 0.0:
         raise NearPole(f"cos(pi*conj(s)/2) vanishes exactly at {s}")
     ratio = conj_ratio(z.value.real, z.value.imag)
-    value = cmath.exp(sb * LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
+    try:  # (2 pi)^conj(s) overflows from Re s of about 385
+        value = cmath.exp(sb * LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
+    except OverflowError:
+        value = complex(math.inf)
     z_rel = z.abs_err_est / abs(z.value)
     err = abs(value) * (6e-13 + 2.0 * z_rel + 8.0 * _EPS)
     if not (cmath.isfinite(value) and math.isfinite(err)):
@@ -119,25 +122,31 @@ def theta(s: complex) -> EvalResult:
     Raises:
         DenominatorZero: within 1e-9 of a zero of (1 - 2^(1-s)).
         DomainError: s is not finite.
-        Overflow: theta leaves the floating range (Re s below about -1024).
+        Overflow: theta or its bound leaves the floating range (Re s below
+            about -1024).
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"theta requires a finite argument, got {s}")
-    if _nearest_factor_zero(s)[1] < 1e-9:
+    if _factor_zero_distance(s) < 1e-9:
         raise DenominatorZero(f"theta denominator vanishes near {s}")
     try:
         num = 1.0 - cmath.exp((1.0 - 2.0 * s) * LN2)
         den = 1.0 - cmath.exp((1.0 - s) * LN2)
         value = num / den
-        err = 4.0 * _EPS * (abs(value) + (1.0 + abs(num)) / abs(den))
+        # rounding, plus eps |exponent| relative in each power 1 - num = 2^(1-2s), 1 - den = 2^(1-s)
+        err = 4.0 * _EPS * (abs(value) + (1.0 + abs(num)) / abs(den)) + _EPS * LN2 * (
+            abs(1.0 - 2.0 * s) * abs((1.0 - num) / den) + abs(1.0 - s) * abs(value * ((1.0 - den) / den))
+        )
     except OverflowError:  # 4^-s overflows from Re s of about -511, where |2^-s| >= 2^511
         try:  # theta = 2^-s + 1/2 - 1/(2 (2^(1-s) - 1)); the bound carries the rounding of -s ln 2
             x = cmath.exp(-s * LN2)
             value = x + 0.5 - 0.25 / (x - 0.5)
             err = abs(value) * _EPS * (2.0 * abs(s) * LN2 + 8.0)
-        except OverflowError:
-            raise Overflow(f"theta({s}) exceeds the floating range") from None
+        except OverflowError:  # and 2^-s from Re s of about -1024
+            value, err = complex(math.inf), math.inf
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise Overflow(f"theta({s}) or its bound exceeds the floating range")
     return EvalResult(value, err, "rational-approx")
 
 

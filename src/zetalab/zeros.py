@@ -13,14 +13,9 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    BoundaryTooCloseToZero,
-    EvaluationFailure,
-    NonIntegerWinding,
-    PoleAtOne,
-)
+from .errors import BoundaryTooCloseToZero, DomainError, EvaluationFailure, NonIntegerWinding, PoleAtOne
 from .specfun import TWO_PI
-from .zeta_eval import _EPS, LN2, _eta_pairs, _eta_plan, _ok, _try, _zeta_pairs, zeta
+from .zeta_eval import _EPS, LN2, MAX_HEIGHT, _eta_pairs, _eta_plan, _ok, _try, _zeta_pairs, zeta
 
 __all__ = [
     "Rect",
@@ -177,8 +172,9 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     Raises:
         BoundaryTooCloseToZero: boundary within clearance of a zero, or the
             winding cannot be resolved within the refinement budget.
-        DomainError: r meets -0.5 <= Re s <= 1.5 above eta's height limit
-            (about 446.2), checked before any evaluation.
+        DomainError: r reaches above MAX_HEIGHT, or meets -0.5 <= Re s <= 1.5
+            above eta's height limit (about 446.2), checked before any
+            evaluation.
         NonIntegerWinding: accumulated winding farther than 0.1 from an
             integer.
     """
@@ -193,9 +189,12 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
         if k >= 2 and -k >= r.re_min - 1.0 and r.boundary_distance(complex(-k, 0.0)) < BOUNDARY_CLEARANCE:
             raise BoundaryTooCloseToZero(f"boundary within {BOUNDARY_CLEARANCE} of trivial zero {-k}")
 
-    # zeta takes eta on -0.5 <= Re s <= 1.5 (left of 0 for zeta(1 - s)); its height limit comes first
+    # zeta's height limit, and eta's on -0.5 <= Re s <= 1.5 (left of 0 for zeta(1 - s)), come first
+    height = max(abs(r.im_min), abs(r.im_max))
+    if height > MAX_HEIGHT:
+        raise DomainError(f"count_zeros_rect is supported up to height |Im s| = {MAX_HEIGHT:g}, got {height}")
     if r.re_min <= 1.5 and r.re_max >= -0.5:
-        _eta_plan(complex(0.5, max(abs(r.im_min), abs(r.im_max))))
+        _eta_plan(complex(0.5, height))
     waypoints = _boundary_waypoints(r, samples_per_edge)
 
     # evaluated in order of height, so that the two vertical edges, whose

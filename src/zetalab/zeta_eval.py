@@ -4,8 +4,10 @@ cross-checks compare zeta against.
 
 Dispatch:
     Re(s) > 1.5   direct series with an Euler-Maclaurin tail
-    0 < Re(s) <= 1.5   accelerated eta divided by (1 - 2^(1-s))
+    0 < Re(s) <= 1.5   accelerated eta divided by (1 - 2^(1-s)); the direct
+                  series within 5e-7 of a zero of that factor (s = 1 too)
     Re(s) <= 0    functional equation, reflected to Re(1-s) >= 1
+    |Im(s)| > MAX_HEIGHT   DomainError
 
 The series routes size themselves for one fixed absolute error target,
 _TARGET_ABS_ERR = 1e-12. Each function has one evaluation path, a batch:
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from . import arith
-from .errors import DomainError, EtaFactorZero, PoleAtOne, ZetaLabError
+from .errors import DomainError, PoleAtOne, ZetaLabError
 from .specfun import EvalResult, _gamma_pair, _rgamma
 
 __all__ = [
@@ -42,13 +44,12 @@ _HALF_PI = 0.5 * math.pi
 
 #: zeros of (1 - 2^(1-s)) sit at 1 + 2*pi*k*i/ln 2; spacing of consecutive ones.
 FACTOR_ZERO_SPACING = 2.0 * math.pi / LN2
+#: strip points this close to one of them take the direct series, not the quotient.
+_FACTOR_ZERO_DISK = 5e-7
 
-#: raise EtaFactorZero below this distance from a factor zero with k != 0.
-FACTOR_ZERO_RAISE = 1e-9
-#: switch to the 4-point complex-offset average below this distance.
-FACTOR_ZERO_AVERAGE = 5e-7
-#: radius of the 4-point average.
-FACTOR_ZERO_RADIUS = 1e-6
+#: zeta raises DomainError above this |Im s|, before it allocates anything; the tier-1
+#: mpmath sweep holds the direct series (0.75 |Im s| head terms) to its bound up to here.
+MAX_HEIGHT = 1e5
 
 #: absolute error the eta and Euler-Maclaurin series are sized for.
 _TARGET_ABS_ERR = 1e-12
@@ -211,8 +212,8 @@ def _eta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
 
 
 # ---------------------------------------------------------------------------
-# Direct series with Euler-Maclaurin tail, Re(s) > 1.5. The plan and the tail
-# run once per batch, on complex128 arrays of its points.
+# Direct series with Euler-Maclaurin tail, Re(s) > 1.5 and next to the zeros of
+# (1 - 2^(1-s)). The plan and the tail run once per batch, on complex128 arrays.
 # ---------------------------------------------------------------------------
 
 # B_{2j} / (2j)! for j = 1..13 (B_2 = 1/6, B_4 = -1/30, ...).
@@ -241,7 +242,7 @@ _EM_TERM_COEF = np.array(_EM_COEF[:_EM_ORDER])[:, None]
 def _em_plan(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Head lengths n for zeta at the points s, as floats, and the remainder
     bounds at n. The bound stays below 1e-20, far under the target, for
-    every Re s > 1.5 (tested), so n is never doubled."""
+    every Re s > 1.5 and next to Re s = 1 (tested), so n is never doubled."""
     n = np.maximum(0.75 * np.abs(s.imag) // 1.0 + 8.0, 16.0)
     poch_abs = np.prod(np.abs(s[:, None] + np.arange(2 * _EM_ORDER + 1.0)), axis=1)
     p = poch_abs * n ** (-s.real - 2 * _EM_ORDER - 1)
@@ -255,7 +256,8 @@ def _em_kernel(s: np.ndarray, n: int) -> tuple[np.ndarray]:
 
 def _em_value(s: np.ndarray, n: np.ndarray, bound: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """zeta at the points s from their head sums at n, and the committed bounds."""
-    npow = np.exp(-s * np.log(n))
+    ln_n = np.log(n)
+    npow = np.exp(-s * ln_n)
     # row j holds the correction term B_2j/(2j)! (s)_(2j-1) n^(1-s-2j), where
     # (s)_(2j-1) = s (s+1) ... (s+2j-2); row 0 the rest of the value
     rows = np.empty((_EM_ORDER + 1, len(s)), dtype=complex)
@@ -269,7 +271,14 @@ def _em_value(s: np.ndarray, n: np.ndarray, bound: np.ndarray, head: np.ndarray)
     # cumsum adds the rows in order, for one point as for many; a sum over
     # axis 0 would add a single column pairwise
     value = np.cumsum(rows, axis=0, out=rows)[-1]
-    return value, bound + 4e-15 * (1.0 + np.abs(value)) * np.log2(n + 1.0)
+    # twice the phase error eps |Im s| ln m of each head term m^-s: sum_{m<n} m^-sigma ln m
+    # is at most the integral of x^-sigma ln x over [1, n], bounded two ways, plus 1/(e sigma)
+    sigma = s.real
+    integral = np.minimum(
+        np.where(sigma > 1.0, 1.0 / (sigma - 1.0) ** 2, np.inf), np.maximum(1.0, n ** (1.0 - sigma)) * ln_n**2 / 2.0
+    )
+    phase = 2.0 * _EPS * np.abs(s.imag) * (integral + 1.0 / (math.e * sigma))
+    return value, bound + 4e-15 * (1.0 + np.abs(value)) * np.log2(n + 1.0) + phase
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +286,25 @@ def _em_value(s: np.ndarray, n: np.ndarray, bound: np.ndarray, head: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-def _nearest_factor_zero(s: complex) -> tuple[int, float]:
-    """Index k and distance to the nearest zero of (1 - 2^(1-s))."""
-    k = round(s.imag / FACTOR_ZERO_SPACING)
-    return k, abs(s - complex(1.0, k * FACTOR_ZERO_SPACING))
+def _factor_zero_distance(s: complex) -> float:
+    """Distance to the nearest zero 1 + 2*pi*k*i/ln 2 of (1 - 2^(1-s))."""
+    return abs(s - complex(1.0, round(s.imag / FACTOR_ZERO_SPACING) * FACTOR_ZERO_SPACING))
 
 
 def _route(s: complex) -> str:
-    """zeta's dispatch region: 'em', 'strip', 'average' (next to a factor
-    zero), 'origin' or 'reflect'; raises where zeta has no value."""
+    """zeta's dispatch region: 'em', 'strip', 'origin' or 'reflect'; raises
+    where zeta has no value."""
     if not cmath.isfinite(s):
         raise DomainError(f"zeta requires a finite argument, got {s}")
+    if abs(s.imag) > MAX_HEIGHT:
+        raise DomainError(f"zeta is supported up to height |Im s| = {MAX_HEIGHT:g}, got {s}")
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne(f"zeta pole at s = 1 (got {s})")
     sigma = s.real
     if sigma > 1.5:
         return "em"
     if sigma > 0.0:
-        k, dist = _nearest_factor_zero(s)
-        if k != 0:
-            if dist < FACTOR_ZERO_RAISE:
-                raise EtaFactorZero(f"{s} within {dist:.2e} of eta-factor zero k={k}")
-            if dist < FACTOR_ZERO_AVERAGE:
-                return "average"
-        return "strip"
+        return "em" if _factor_zero_distance(s) < _FACTOR_ZERO_DISK else "strip"
     return "origin" if abs(s) < 1e-12 else "reflect"
 
 
@@ -314,14 +318,6 @@ def _strip_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
     return value, err
 
 
-def _zeta_average(s: complex) -> tuple[complex, float]:
-    # 4-point mean at radius 1e-6: the probes stay clear of the factor zero
-    # while the analytic average matches zeta(s) to O(radius^4).
-    probes = [s + FACTOR_ZERO_RADIUS * off for off in (1.0, 1.0j, -1.0, -1.0j)]
-    values, errs = zip(*map(_ok, _zeta_values(probes, ["strip"] * 4)))
-    return sum(values) / 4.0, max(errs) + FACTOR_ZERO_RADIUS**4
-
-
 #: zeta(0) = -1/2 and its bound; zeta varies by ~0.92*|s| nearby.
 _ZETA_AT_ORIGIN = (complex(-0.5, 0.0), 1e-12)
 
@@ -329,7 +325,6 @@ _ZETA_AT_ORIGIN = (complex(-0.5, 0.0), 1e-12)
 _ROUTE_METHODS = {
     "em": "direct-series",
     "strip": "accelerated-eta",
-    "average": "accelerated-eta",
     "origin": "functional-equation",
     "reflect": "functional-equation",
 }
@@ -343,10 +338,9 @@ def zeta(s: complex) -> EvalResult:
 
     Raises:
         PoleAtOne: within 1e-12 of s = 1.
-        EtaFactorZero: within 1e-9 of 1 + 2*pi*k*i/ln 2, k != 0, where the
-            eta quotient degenerates.
-        DomainError: s is not finite, or the evaluation leaves the floating
-            range (the Euler-Maclaurin route from |s| of about 2e12).
+        DomainError: s is not finite, |Im s| > MAX_HEIGHT, or the evaluation
+            leaves the floating range (the Euler-Maclaurin route from |s| of
+            about 2e12).
     """
     s = complex(s)
     route = _route(s)
@@ -398,8 +392,6 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
                 reflect.append(i)
             except ZetaLabError as exc:
                 out[i] = exc
-        elif r == "average":
-            out[i] = _try(_zeta_average, pts[i])
         elif r == "origin":
             out[i] = _ZETA_AT_ORIGIN
     if em:

@@ -1,0 +1,48 @@
+"""Property test: for finite points with |Re s| up to 1e4 and |Im s| up to
+1e100, the public evaluators raise nothing but ZetaLabError (ValueError is
+kept for malformed arguments, and a finite complex number is not one), and
+every value and bound they return is finite."""
+
+import cmath
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from zetalab import eta, gamma, kappa, nu, theta, zeta, zeta_many  # noqa: E402
+from zetalab.errors import ZetaLabError  # noqa: E402
+from zetalab.zeta_eval import MAX_HEIGHT  # noqa: E402
+
+DERANDOMIZED = settings.get_profile("derandomized")
+
+#: real parts on every route and its edges, up to 1e4 either way.
+REALS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -2.0, -171.5, 171.7, -1024.0]) | st.floats(-20.0, 20.0) | st.floats(
+    -1e4, 1e4
+)
+#: heights inside eta's and zeta's limits, at and past MAX_HEIGHT, and up to 1e100.
+HEIGHTS = (
+    st.sampled_from([0.0, -0.0, 446.3, MAX_HEIGHT, math.nextafter(MAX_HEIGHT, math.inf), 1e12])
+    | st.floats(-500.0, 500.0)
+    | st.floats(-2.0 * MAX_HEIGHT, 2.0 * MAX_HEIGHT)
+    | st.floats(-1e100, 1e100)
+)
+
+
+def _finite(result) -> bool:
+    return cmath.isfinite(result.value) and math.isfinite(result.abs_err_est)
+
+
+@DERANDOMIZED
+@given(st.lists(st.builds(complex, REALS, HEIGHTS), min_size=1, max_size=6))
+def test_evaluators_raise_typed_errors_and_return_finite_values(points):
+    for f in (zeta, eta, gamma, nu, kappa, theta):
+        for s in points:
+            try:
+                result = f(s)
+            except ZetaLabError:
+                continue
+            assert _finite(result), (f.__name__, s, result)
+    for s, result in zip(points, zeta_many(points)):
+        assert isinstance(result, ZetaLabError) or _finite(result), (s, result)

@@ -5,20 +5,12 @@ the scalar calls bit for bit."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zetalab import Rect, eta, eta_many, zeta, zeta_many  # noqa: E402
 from zetalab.errors import ZetaLabError  # noqa: E402
 from zetalab.zeros import _boundary_waypoints  # noqa: E402
 
-settings.register_profile(
-    "derandomized",
-    derandomize=True,
-    database=None,
-    deadline=None,
-    max_examples=60,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
 DERANDOMIZED = settings.get_profile("derandomized")
 
 #: heights up to and past eta's limit (about 446.2), both signs of zero.

@@ -21,7 +21,6 @@ from zetalab import zeros
 from zetalab.errors import (
     BoundaryTooCloseToZero,
     DomainError,
-    EtaFactorZero,
     EvaluationFailure,
     ZetaLabError,
 )
@@ -48,8 +47,10 @@ def test_rect_validation():
         (Rect(0.0, 1.0, 0.0, 2e4), DomainError),
         (Rect(-3.0, -0.5, -1e9, 1.0), DomainError),
         (Rect(1.5, 4.0, 10.0, 500.0), DomainError),
+        # zeta's MAX_HEIGHT, checked before a billion-unit edge is sampled
+        (Rect(2.0, 3.0, 0.0, 1e9), DomainError),
     ],
-    ids=["wide", "tall-strip", "band-left-edge", "band-right-edge"],
+    ids=["wide", "tall-strip", "band-left-edge", "band-right-edge", "above-max-height"],
 )
 def test_census_fails_fast(r, error):
     start = time.perf_counter()
@@ -436,14 +437,17 @@ def _scalar_census_error(r: Rect) -> ZetaLabError:
 def test_census_errors_match_the_scalar_loop():
     t0 = find_critical_zeros(14.0, 14.3, 0.01)[0].location.imag
     through_zero = Rect(0.3, 0.7, 13.5, t0)
-    # a corner on the zero 1 + 2*pi*i/ln 2 of the eta quotient's denominator
-    through_factor_pole = Rect(1.0, 2.0, FACTOR_ZERO_SPACING, 10.0)
-    for r, kind in ((through_zero, BoundaryTooCloseToZero), (through_factor_pole, EtaFactorZero)):
+    # zeta(1e13) leaves the floating range on the Euler-Maclaurin route
+    out_of_range = Rect(1e13, 2e13, 0.0, 1.0)
+    for r, kind in ((through_zero, BoundaryTooCloseToZero), (out_of_range, DomainError)):
         expected = _scalar_census_error(r)
         assert type(expected) is kind
         with pytest.raises(kind) as exc:
             count_zeros_rect(r)
         assert str(exc.value) == str(expected)
+    # a corner on the zero 1 + 2*pi*i/ln 2 of the eta quotient's denominator,
+    # where zeta takes the direct series
+    assert count_zeros_rect(Rect(1.0, 2.0, FACTOR_ZERO_SPACING, 10.0)) == 0
 
 
 @pytest.mark.parametrize("first, second", [(3, 5), (5, 3)])
@@ -459,17 +463,17 @@ def test_first_failure_in_point_order_wins(first, second):
             if k == first:
                 out.append((1e-9, 0.0))
             elif k == second:
-                out.append(EtaFactorZero(f"fault at {k}"))
+                out.append(DomainError(f"fault at {k}"))
             else:
                 out.append((1.0, 0.0))
         return out
 
     seen = []
-    with pytest.raises((BoundaryTooCloseToZero, EtaFactorZero)) as exc:
+    with pytest.raises((BoundaryTooCloseToZero, DomainError)) as exc:
         for z, v in zip(points, zeros._values(many, points)):
             seen.append(zeros._above_floor(z, v))
     assert len(seen) == min(first, second)
-    assert type(exc.value) is (BoundaryTooCloseToZero if first < second else EtaFactorZero)
+    assert type(exc.value) is (BoundaryTooCloseToZero if first < second else DomainError)
 
 
 @pytest.mark.parametrize("t_max", [460.0, 1e15, math.inf, 449.0])

@@ -21,8 +21,8 @@ from zetalab import (
     zeta_reflect,
 )
 from zetalab.arith import cached_table
-from zetalab.errors import DomainError, EtaFactorZero, Overflow, PoleAtOne, ZetaLabError
-from zetalab.zeta_eval import FACTOR_ZERO_SPACING
+from zetalab.errors import DomainError, Overflow, PoleAtOne, ZetaLabError
+from zetalab.zeta_eval import FACTOR_ZERO_SPACING, MAX_HEIGHT
 
 PI2_OVER_6 = math.pi**2 / 6.0
 
@@ -79,14 +79,19 @@ def test_zeta_method_tags_follow_dispatch():
     assert zeta(-1.5).method == "functional-equation"
 
 
-def test_eta_factor_zero_raises():
+def test_zeta_at_factor_zeros_takes_the_direct_series():
+    # eta(s) / (1 - 2^(1-s)) is 0/0 at 1 + 2*pi*k*i/ln 2; the direct series is not
+    mpmath = pytest.importorskip("mpmath")
     for k in (1, 2, -3):
-        s = complex(1.0, k * FACTOR_ZERO_SPACING)
-        with pytest.raises(EtaFactorZero):
-            zeta(s + 1e-10)
+        for offset in (0.0, 1e-10, -3e-7j):
+            s = complex(1.0, k * FACTOR_ZERO_SPACING) + offset
+            z = zeta(s)
+            assert z.method == "direct-series" and z.abs_err_est < 1e-11
+            with mpmath.workdps(30):
+                assert float(abs(mpmath.mpc(z.value) - mpmath.zeta(mpmath.mpc(s.real, s.imag)))) <= z.abs_err_est
 
 
-def test_zeta_near_factor_zero_uses_average():
+def test_zeta_near_factor_zero_matches_the_mean_of_the_quotient():
     # Oracle: 4-point mean of the plain quotient on a much larger circle,
     # where the quotient itself is solid; the mean matches zeta(center) to
     # O(radius^4).
@@ -269,6 +274,14 @@ def test_large_height_raises_typed_errors():
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
 
 
+@pytest.mark.parametrize("s", [3.0 + 1e12j, 3.0 - 1e100j, 0.5 + 2e5j, -0.5 + 2e5j, complex(2.0, 1.000001 * MAX_HEIGHT)])
+def test_zeta_raises_above_max_height_before_it_allocates(s):
+    # zeta(3+1e12j) asked numpy for 5.46 TiB, and zeta(3+1e100j) raised a bare ValueError
+    with pytest.raises(DomainError, match="supported up to height"):
+        zeta(s)
+    assert zeta(complex(2.0, MAX_HEIGHT)).method == "direct-series"
+
+
 def test_eta_raises_above_the_height_limit_on_every_call():
     from zetalab import eta_many
 
@@ -410,14 +423,19 @@ def test_batch_matches_scalar(fn):
 def test_batch_special_points():
     from zetalab import zeta_many
 
-    s_avg = complex(1.0, FACTOR_ZERO_SPACING) + 3e-7
-    res = zeta_many([1.0, 0j, -2.0, s_avg, complex(1.0, FACTOR_ZERO_SPACING) + 1e-10, -0.5 + 600j])
+    factor_zero = complex(1.0, FACTOR_ZERO_SPACING)
+    # the direct series takes the disks of radius 5e-7 around the factor
+    # zeros and around the pole, and the quotient resumes just outside
+    disks = [factor_zero, factor_zero + 1e-10, factor_zero + 4.9e-7j, 1.0 + 1e-9, 1.0 - 4.9e-7]
+    outside = [factor_zero + 5.1e-7, 1.0 + 5.1e-7j]
+    res = zeta_many([1.0, 0j, -2.0, -0.5 + 600j, 3.0 + 2 * MAX_HEIGHT * 1j, *disks, *outside])
     assert isinstance(res[0], PoleAtOne)
     assert res[1].value == -0.5 and res[1].method == "functional-equation"
     assert res[2].value == 0.0
-    assert res[3] == zeta(s_avg) and res[3].method == "accelerated-eta"
-    assert isinstance(res[4], EtaFactorZero)
-    assert isinstance(res[5], Overflow)  # the Gamma factors fail before the inner zeta
+    assert isinstance(res[3], Overflow)  # the Gamma factors fail before the inner zeta
+    assert isinstance(res[4], DomainError) and "height" in str(res[4])
+    for s, r in zip(disks + outside, res[5:]):
+        assert r == zeta(s) and r.method == ("direct-series" if s in disks else "accelerated-eta"), s
     assert zeta_many([]) == []
 
 
