@@ -17,9 +17,9 @@ from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_chec
 from .reflect import NuClassification, classify_nu, conj_ratio, kappa, nu, theta
 from .reporting import VERSION as __version__
 from .reporting import CheckResult, RunConfig, emit_report
-from .specfun import EvalResult, gamma, half_cos, recip_gamma_euler, xi_factor
+from .specfun import EvalResult, gamma, half_cos
 from .zeros import Rect, ZeroRecord, check_line_zeros, count_zeros_rect, find_critical_zeros, multiplicity
-from .zeta_eval import eta, eta_many, euler_product, zeta, zeta_floor_integral, zeta_many, zeta_reflect
+from .zeta_eval import eta, eta_many, zeta, zeta_floor_integral, zeta_many, zeta_reflect
 
 __all__ = [
     "ArithTable",
@@ -41,7 +41,6 @@ __all__ = [
     "emit_report",
     "eta",
     "eta_many",
-    "euler_product",
     "find_critical_zeros",
     "gamma",
     "grid_scan",
@@ -49,12 +48,10 @@ __all__ = [
     "kappa",
     "multiplicity",
     "nu",
-    "recip_gamma_euler",
     "run_all",
     "run_check",
     "sigma_paper",
     "theta",
-    "xi_factor",
     "zeta",
     "zeta_floor_integral",
     "zeta_many",

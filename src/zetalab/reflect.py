@@ -26,7 +26,6 @@ __all__ = [
     "NuClassification",
     "conj_ratio",
     "nu",
-    "nu_direct",
     "theta",
     "kappa",
     "classify_nu",
@@ -101,18 +100,6 @@ def nu(s: complex) -> EvalResult:
     err = abs(value) * (6e-13 + 2.0 * z_rel + 8.0 * _EPS)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise Overflow(f"nu({s}) leaves the floating range")
-    return EvalResult(value, err, "functional-equation")
-
-
-def nu_direct(s: complex) -> EvalResult:
-    """Secondary route nu(s) = zeta(s) / zeta(1 - conj(s)), for cross-checks."""
-    s = complex(s)
-    num = zeta(s)
-    den = zeta(1.0 - s.conjugate())
-    if abs(den.value) < _ZETA_ZERO_GUARD:
-        raise NearZeroOfZeta(f"|zeta(1 - conj(s))| too small at s = {s}")
-    value = num.value / den.value
-    err = (num.abs_err_est + abs(value) * den.abs_err_est) / abs(den.value) + 4.0 * _EPS * abs(value)
     return EvalResult(value, err, "functional-equation")
 
 

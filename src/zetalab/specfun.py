@@ -1,9 +1,7 @@
-"""Complex special functions: Gamma, reciprocal Gamma, cos(pi*s/2), and the
-reflection factor xi(s) = 2*Gamma(s)*(2*pi)^(-s)*cos(pi*s/2).
+"""Complex special functions: Gamma, its reciprocal, and cos(pi*s/2).
 
-All operations are pure; complex powers use the principal branch of log.
-The half-angle cosine is computed from its real/imaginary decomposition so
-that conjugate symmetry holds bit-exactly.
+All operations are pure. The half-angle cosine is computed from its
+real/imaginary decomposition so that conjugate symmetry holds bit-exactly.
 """
 
 from __future__ import annotations
@@ -13,17 +11,9 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, Overflow, PoleAtNonPositiveInteger
 
-__all__ = [
-    "EvalResult",
-    "gamma",
-    "recip_gamma_euler",
-    "half_cos",
-    "xi_factor",
-]
+__all__ = ["EvalResult", "gamma", "half_cos"]
 
 #: Method tags an EvalResult may carry.
 METHODS = frozenset(
@@ -32,7 +22,6 @@ METHODS = frozenset(
         "accelerated-eta",
         "functional-equation",
         "quadrature",
-        "euler-product",
         "rational-approx",
     }
 )
@@ -42,10 +31,6 @@ POLE_TOL = 1e-12
 
 #: half_cos raises Overflow beyond this |Im(s)| instead of returning inf.
 HALF_COS_IM_MAX = 700.0 / math.pi
-
-#: machine epsilon rounded up, as committed in the bounds of recip_gamma_euler
-#: and xi_factor.
-_EPS_BOUND = 2.3e-16
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -210,50 +195,6 @@ def _gamma_pair(s: complex) -> tuple[complex, float]:
     return value, _GAMMA_REL_ERR_FAR * abs(value)
 
 
-def recip_gamma_euler(s: complex, terms: int) -> EvalResult:
-    """Truncated Euler product for 1/Gamma(s).
-
-    1/Gamma(s) = s * prod_{n=1..terms} (1 + s/n) / (1 + 1/n)^s.
-
-    Entire in s; returns exactly 0 at non-positive integers regardless of
-    truncation (the limit value, which a finite product attains only for
-    terms >= |s|). Convergence is O(1/terms), so this is an oracle, not a
-    production path.
-
-    Args:
-        s: point of evaluation.
-        terms: number of product factors, >= 1.
-
-    Returns:
-        EvalResult tagged 'euler-product'.
-
-    Raises:
-        DomainError: s is not finite.
-    """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"recip_gamma_euler requires a finite argument, got {s}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == int(s.real):
-        return EvalResult(0.0 + 0.0j, 0.0, "euler-product")
-
-    prod = 1.0 + 0.0j
-    chunk = 1_000_000
-    lo = 1
-    while lo <= terms:
-        hi = min(lo + chunk - 1, terms)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        # Per-factor ratio stays O(1), so the running product cannot overflow.
-        factors = (1.0 + s / n) * np.exp(-s * np.log1p(1.0 / n))
-        prod *= complex(np.prod(factors))
-        lo = hi + 1
-    value = s * prod
-    # Truncation error ~ |s(s-1)|/(2 terms); rounding grows with the factor count.
-    rel = abs(s * (s - 1.0)) / terms + 4.0 * terms * _EPS_BOUND
-    return EvalResult(value, rel * max(abs(value), 1e-300), "euler-product")
-
-
 def half_cos(s: complex) -> complex:
     """cos(pi*s/2) via the decomposition
 
@@ -274,17 +215,3 @@ def half_cos(s: complex) -> complex:
     c, sn = _cos_sin_pi_half(s.real)
     y = 0.5 * math.pi * s.imag
     return complex(c * math.cosh(y), -sn * math.sinh(y))
-
-
-def xi_factor(s: complex) -> EvalResult:
-    """Reflection factor xi(s) = 2 * Gamma(s) * (2*pi)^(-s) * cos(pi*s/2).
-
-    Satisfies zeta(1-s) = xi(s) * zeta(s); (2*pi)^(-s) uses the principal
-    logarithm. Errors from gamma propagate.
-    """
-    s = complex(s)
-    g = gamma(s)
-    power = cmath.exp(-s * LOG_TWO_PI)
-    value = 2.0 * g.value * power * half_cos(s)
-    rel = (g.abs_err_est / abs(g.value)) + 8.0 * _EPS_BOUND
-    return EvalResult(value, rel * abs(value), "rational-approx")

@@ -36,6 +36,11 @@ _POLE_CLEARANCE = 1e-4
 _BOUNDARY_ZETA_FLOOR = 5e-7
 
 _MAX_SUBDIVISION_DEPTH = 48
+#: the census refuses a rectangle whose initial samples would cost more series
+#: terms than this, at 0.75 |Im s| + 8 per sample, the direct series' head at
+#: the edge's largest height: about half a minute on a 2-core x86_64. The largest
+#: census in the tests and the benchmark estimates 1.15e6 terms.
+_MAX_CENSUS_TERMS = 1e9
 #: width of the coarse cells of the critical-line scan; below eta's height
 #: limit the closest zeros lie 0.4364 apart, so no cell holds two of them.
 _COARSE_CELL = 0.2
@@ -135,10 +140,10 @@ def _pole_free(z: complex, zeta_at) -> complex:
         return 1.0
 
 
-def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
-    """Closed counterclockwise waypoint loop, evenly spaced on each edge."""
+def _edges(r: Rect, samples_per_edge: int) -> list[tuple[complex, complex, int, float]]:
+    """Each edge counterclockwise as (start, end, samples, largest |Im s|)."""
     corners = r.corners
-    waypoints: list[complex] = []
+    edges = []
     for p, q in zip(corners, corners[1:] + corners[:1]):
         # zeta's argument turns by about ln(T / 2 pi) per unit of height T, so
         # samples at most (pi/2) / ln(T / 2 pi) apart cannot wrap past pi
@@ -146,7 +151,13 @@ def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
         n = samples_per_edge
         if height > TWO_PI:
             n = max(n, math.ceil(abs(q - p) * math.log(height / TWO_PI) / (0.5 * math.pi)))
-        waypoints.extend(p + (q - p) * (j / n) for j in range(n))
+        edges.append((p, q, n, height))
+    return edges
+
+
+def _boundary_waypoints(r: Rect, samples_per_edge: int) -> list[complex]:
+    """Closed counterclockwise waypoint loop, evenly spaced on each edge."""
+    waypoints = [p + (q - p) * (j / n) for p, q, n, _ in _edges(r, samples_per_edge) for j in range(n)]
     waypoints.append(waypoints[0])
     return waypoints
 
@@ -172,9 +183,10 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     Raises:
         BoundaryTooCloseToZero: boundary within clearance of a zero, or the
             winding cannot be resolved within the refinement budget.
-        DomainError: r reaches above MAX_HEIGHT, or meets -0.5 <= Re s <= 1.5
-            above eta's height limit (about 446.2), checked before any
-            evaluation.
+        DomainError: r reaches above MAX_HEIGHT, meets -0.5 <= Re s <= 1.5
+            above eta's height limit (about 446.2), or its initial samples
+            would take more than _MAX_CENSUS_TERMS series terms, checked
+            before any evaluation.
         NonIntegerWinding: accumulated winding farther than 0.1 from an
             integer.
     """
@@ -195,6 +207,11 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
         raise DomainError(f"count_zeros_rect is supported up to height |Im s| = {MAX_HEIGHT:g}, got {height}")
     if r.re_min <= 1.5 and r.re_max >= -0.5:
         _eta_plan(complex(0.5, height))
+    terms = sum(n * (0.75 * edge_height + 8.0) for _, _, n, edge_height in _edges(r, samples_per_edge))
+    if terms > _MAX_CENSUS_TERMS:
+        raise DomainError(
+            f"count_zeros_rect would take an estimated {terms:.3g} series terms, over its cap {_MAX_CENSUS_TERMS:g}"
+        )
     waypoints = _boundary_waypoints(r, samples_per_edge)
 
     # evaluated in order of height, so that the two vertical edges, whose

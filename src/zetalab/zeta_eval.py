@@ -1,13 +1,13 @@
 """Evaluation of zeta(s) and eta(s) everywhere via region dispatch, plus
-the floor integral and the Euler product, reference routes that the
-cross-checks compare zeta against.
+the floor integral, a second route for Re(s) > 1 that the P9_POLE check
+takes next to the pole.
 
 Dispatch:
     Re(s) > 1.5   direct series with an Euler-Maclaurin tail
     0 < Re(s) <= 1.5   accelerated eta divided by (1 - 2^(1-s)); the direct
                   series within 5e-7 of a zero of that factor (s = 1 too)
     Re(s) <= 0    functional equation, reflected to Re(1-s) >= 1
-    |Im(s)| > MAX_HEIGHT   DomainError
+    |Im(s)| > MAX_HEIGHT   DomainError, from zeta and zeta_reflect alike
 
 The series routes size themselves for one fixed absolute error target,
 _TARGET_ABS_ERR = 1e-12. Each function has one evaluation path, a batch:
@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from . import arith
 from .errors import DomainError, PoleAtOne, ZetaLabError
 from .specfun import EvalResult, _gamma_pair, _rgamma
 
@@ -33,7 +32,6 @@ __all__ = [
     "zeta_many",
     "eta_many",
     "zeta_floor_integral",
-    "euler_product",
     "zeta_reflect",
 ]
 
@@ -291,15 +289,21 @@ def _factor_zero_distance(s: complex) -> float:
     return abs(s - complex(1.0, round(s.imag / FACTOR_ZERO_SPACING) * FACTOR_ZERO_SPACING))
 
 
+def _check_entry(s: complex, name: str) -> None:
+    """Raise where the function called name has no value at s: s not finite,
+    above MAX_HEIGHT, or on the pole s = 1."""
+    if not cmath.isfinite(s):
+        raise DomainError(f"{name} requires a finite argument, got {s}")
+    if abs(s.imag) > MAX_HEIGHT:
+        raise DomainError(f"{name} is supported up to height |Im s| = {MAX_HEIGHT:g}, got {s}")
+    if abs(s - 1.0) < 1e-12:
+        raise PoleAtOne(f"{name} pole at s = 1 (got {s})")
+
+
 def _route(s: complex) -> str:
     """zeta's dispatch region: 'em', 'strip', 'origin' or 'reflect'; raises
     where zeta has no value."""
-    if not cmath.isfinite(s):
-        raise DomainError(f"zeta requires a finite argument, got {s}")
-    if abs(s.imag) > MAX_HEIGHT:
-        raise DomainError(f"zeta is supported up to height |Im s| = {MAX_HEIGHT:g}, got {s}")
-    if abs(s - 1.0) < 1e-12:
-        raise PoleAtOne(f"zeta pole at s = 1 (got {s})")
+    _check_entry(s, "zeta")
     sigma = s.real
     if sigma > 1.5:
         return "em"
@@ -436,18 +440,16 @@ def zeta_reflect(s: complex) -> EvalResult:
 
     used to continue zeta to Re(s) < 0 and as a residual check elsewhere.
     The denominator Gamma is applied as a reciprocal, so its poles become
-    exact zeros of the result. A non-finite s raises DomainError.
+    exact zeros of the result. It raises where zeta does on entry: DomainError
+    for a non-finite s or |Im s| > MAX_HEIGHT, PoleAtOne within 1e-12 of 1.
     """
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"zeta_reflect requires a finite argument, got {s}")
-    if abs(s - 1.0) < 1e-12:
-        raise PoleAtOne("zeta_reflect undefined at s = 1")
+    _check_entry(s, "zeta_reflect")
     return EvalResult(*_ok(*_zeta_values([s], ["reflect"])), "functional-equation")
 
 
 # ---------------------------------------------------------------------------
-# Reference routes for Re(s) > 1.
+# Reference route for Re(s) > 1.
 # ---------------------------------------------------------------------------
 
 
@@ -486,29 +488,3 @@ def zeta_floor_integral(s: complex) -> EvalResult:
     value = s / (s - 1.0) - s * integral
     err = abs(s) * (tail_bound(n_seg) + 2e-14 / (sigma - 0.99)) + 8.0 * _EPS * abs(value)
     return EvalResult(value, err, "quadrature")
-
-
-def euler_product(s: complex, prime_bound: int) -> EvalResult:
-    """Truncated Euler product over primes p <= prime_bound, Re(s) > 1.
-
-    On the real axis the partial products increase monotonically in modulus
-    toward zeta(s); the committed error uses the integral bound on
-    sum_{n > bound} n^(-Re s), which dominates the prime tail.
-
-    Raises:
-        DomainError: when Re(s) <= 1 or s is not finite.
-    """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"euler_product requires a finite argument, got {s}")
-    sigma = s.real
-    if sigma <= 1.0:
-        raise DomainError(f"euler_product requires Re(s) > 1, got {s}")
-    if prime_bound < 2:
-        raise ValueError("prime_bound must be >= 2")
-    p = arith.primes_upto(prime_bound).astype(np.float64)
-    pw = np.exp(-s * np.log(p))
-    value = complex(np.prod(1.0 / (1.0 - pw)))
-    tail = prime_bound ** (1.0 - sigma) / (sigma - 1.0)
-    err = abs(value) * (math.expm1(min(tail, 50.0)) + 4.0 * _EPS * math.sqrt(len(p) + 1.0))
-    return EvalResult(value, err, "euler-product")

@@ -10,7 +10,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from zetalab import kappa, nu, theta, zeta  # noqa: E402
+from zetalab import gamma, kappa, nu, theta, zeta  # noqa: E402
 from zetalab.zeta_eval import FACTOR_ZERO_SPACING, MAX_HEIGHT  # noqa: E402
 
 
@@ -19,6 +19,7 @@ def _mp_eta(s):
 
 
 REFERENCES = {
+    gamma: mpmath.gamma,
     zeta: mpmath.zeta,
     nu: lambda s: mpmath.zeta(s) / mpmath.zeta(1 - mpmath.conj(s)),
     kappa: lambda s: _mp_eta(s) / _mp_eta(2 * s),
@@ -52,6 +53,23 @@ def _box(re, im):
     return lambda rng: complex(rng.uniform(*re), rng.uniform(*im))
 
 
+def _gamma_contract(lanczos):
+    """A point of gamma's contract domain |s| <= 20 on the Lanczos branch
+    (Re s >= 1/2) or on the reflected one."""
+
+    def sample(rng):
+        while True:
+            s = 20.0 * math.sqrt(rng.uniform()) * complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            if (s.real >= 0.5) == lanczos:
+                return s
+
+    return sample
+
+
+def _gamma_far(rng):
+    return complex(rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 140.0), rng.uniform(-50.0, 50.0))
+
+
 #: row id, function, point sampler, number of points, the method zeta must take
 TABLE = [
     ("em-400-5e3", zeta, _em_band(400.0, 5e3), 8, "direct-series"),
@@ -60,7 +78,11 @@ TABLE = [
     ("em-at-max", zeta, lambda rng: complex(rng.uniform(1.5, 40.0), MAX_HEIGHT), 2, "direct-series"),
     ("factor-zero-disks", zeta, _disk(_factor_zero), 90, "direct-series"),
     ("pole-disk", zeta, _disk(lambda rng: 1.0), 40, "direct-series"),
+    ("gamma-lanczos", gamma, _gamma_contract(True), 150, None),
+    ("gamma-reflected", gamma, _gamma_contract(False), 150, None),
+    ("gamma-far", gamma, _gamma_far, 150, None),
     ("nu", nu, _box((-10.0, 10.0), (-40.0, 40.0)), 60, None),
+    ("nu-strip", nu, _box((0.1, 0.9), (1.0, 25.0)), 100, None),
     ("kappa", kappa, _box((0.26, 3.0), (-100.0, 100.0)), 60, None),
     ("theta-strip", theta, _box((-20.0, 20.0), (-50.0, 50.0)), 100, None),
     ("theta-left", theta, _box((-1020.0, -1.0), (-50.0, 50.0)), 100, None),

@@ -16,7 +16,6 @@ from zetalab.errors import (
     Overflow,
     ZeroInput,
 )
-from zetalab.reflect import nu_direct
 from zetalab.zeta_eval import FACTOR_ZERO_SPACING
 
 KAPPA_075_REGRESSION = 0.8509680610516577  # frozen from eta(0.75)/eta(1.5)
@@ -61,20 +60,6 @@ def test_conj_ratio_unimodular_and_identity():
 
 def test_nu_is_one_on_critical_line():
     assert abs(nu(0.5 + 3.0j).value - 1.0) < 1e-9
-
-
-def test_nu_two_route_agreement():
-    rng = np.random.default_rng(19)
-    checked = 0
-    while checked < 100:
-        s = complex(rng.uniform(0.1, 0.9), rng.uniform(1.0, 25.0))
-        try:
-            a = nu(s).value
-            b = nu_direct(s).value
-        except (NearZeroOfZeta, NearPole):
-            continue
-        assert abs(a - b) < 1e-8
-        checked += 1
 
 
 def test_nu_guards():

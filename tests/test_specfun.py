@@ -1,4 +1,4 @@
-"""Gamma, reciprocal Gamma, half-angle cosine, and the xi reflection factor."""
+"""Gamma, its Lanczos sum, and the half-angle cosine."""
 
 import cmath
 import contextlib
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab import gamma, half_cos, recip_gamma_euler, xi_factor, zeta
+from zetalab import gamma, half_cos, zeta
 from zetalab.errors import Overflow, PoleAtNonPositiveInteger, ZetaLabError
 from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos
 
@@ -18,13 +18,7 @@ def test_gamma_factorial():
     assert abs(gamma(5).value - 24.0) < 24.0 * 1e-12
 
 
-def test_gamma_half_vs_euler_product_oracle():
-    # Oracle: truncated Euler product with Richardson extrapolation in the
-    # truncation length (error ~ c/T, so 2*v(2T) - v(T) cancels the c/T term).
-    v1 = 1.0 / recip_gamma_euler(0.5, 500_000).value
-    v2 = 1.0 / recip_gamma_euler(0.5, 1_000_000).value
-    extrapolated = 2.0 * v2 - v1
-    assert abs(extrapolated - SQRT_PI) < 1e-9
+def test_gamma_half_is_sqrt_pi():
     assert abs(gamma(0.5).value - SQRT_PI) < 1e-12
 
 
@@ -71,34 +65,6 @@ def test_gamma_error_commitment_via_recurrence():
         assert resid <= a.abs_err_est + abs(s) * b.abs_err_est + 1e-290
 
 
-def test_recip_gamma_euler_zero_at_nonpositive_integers():
-    assert recip_gamma_euler(-3.0, 10).value == 0.0
-    assert recip_gamma_euler(-3.0, 1000).value == 0.0
-    assert recip_gamma_euler(0.0, 5).value == 0.0
-
-
-def test_recip_gamma_euler_at_one():
-    assert abs(recip_gamma_euler(1.0, 200).value - 1.0) < 1e-10
-
-
-def test_recip_gamma_euler_converges():
-    target = 1.0 / gamma(2.5).value
-    r = recip_gamma_euler(2.5, 10**6)
-    assert abs(r.value - target) < 1e-5
-    assert abs(r.value - target) <= r.abs_err_est
-
-
-def test_recip_gamma_euler_monotone_error_decay():
-    g = gamma(2.5).value
-    errs = [abs(recip_gamma_euler(2.5, t).value * g - 1.0) for t in (10**3, 10**4, 10**5)]
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_recip_gamma_euler_validates_terms():
-    with pytest.raises(ValueError):
-        recip_gamma_euler(2.0, 0)
-
-
 @pytest.mark.parametrize("s", [1.0, -3.0, 5.0, -7.0])
 def test_half_cos_exact_zeros_at_odd_integers(s):
     assert half_cos(s) == 0.0
@@ -120,35 +86,6 @@ def test_half_cos_conjugate_symmetry_bit_exact():
 def test_half_cos_overflow_guard():
     with pytest.raises(Overflow):
         half_cos(complex(0.0, 700.0 / math.pi + 1.0))
-
-
-def test_xi_conjugate_symmetry():
-    s = 0.3 + 4.0j
-    a = xi_factor(s.conjugate()).value
-    b = xi_factor(s).value.conjugate()
-    assert abs(a - b) < 1e-12
-
-
-def test_xi_at_two_matches_zeta_ratio():
-    # zeta(1-s) = xi(s) zeta(s) at s = 2 gives zeta(-1)/zeta(2).
-    lhs = xi_factor(2.0).value
-    rhs = zeta(-1.0).value / zeta(2.0).value
-    assert abs(lhs - rhs) < 1e-10
-    assert abs(lhs - (-1.0 / (2.0 * math.pi**2))) < 1e-12
-
-
-def test_xi_exact_zero_at_three():
-    assert xi_factor(3.0).value == 0.0
-
-
-def test_xi_functional_equation():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        s = complex(rng.uniform(1.6, 6.0), rng.uniform(-20, 20))
-        xi = xi_factor(s)
-        lhs = zeta(1.0 - s).value
-        rhs = xi.value * zeta(s).value
-        assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
 
 
 def test_gamma_reflection_overflow_is_typed():

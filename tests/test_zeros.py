@@ -49,8 +49,10 @@ def test_rect_validation():
         (Rect(1.5, 4.0, 10.0, 500.0), DomainError),
         # zeta's MAX_HEIGHT, checked before a billion-unit edge is sampled
         (Rect(2.0, 3.0, 0.0, 1e9), DomainError),
+        # under MAX_HEIGHT, but an estimated 9.2e10 series terms
+        (Rect(2.0, 3.0, 0.0, 1e5), DomainError),
     ],
-    ids=["wide", "tall-strip", "band-left-edge", "band-right-edge", "above-max-height"],
+    ids=["wide", "tall-strip", "band-left-edge", "band-right-edge", "above-max-height", "over-cost-cap"],
 )
 def test_census_fails_fast(r, error):
     start = time.perf_counter()

@@ -10,12 +10,9 @@ import pytest
 from zetalab import (
     conj_ratio,
     eta,
-    euler_product,
     gamma,
     half_cos,
-    recip_gamma_euler,
     theta,
-    xi_factor,
     zeta,
     zeta_floor_integral,
     zeta_reflect,
@@ -157,35 +154,6 @@ def test_floor_integral_domain():
         zeta_floor_integral(0.5)
 
 
-def test_euler_product_single_factor():
-    assert abs(euler_product(3.0, 2).value - 8.0 / 7.0) < 1e-15
-
-
-def test_euler_product_at_two():
-    assert abs(euler_product(2.0, 10**5).value - PI2_OVER_6) < 1e-5
-
-
-def test_euler_product_monotone_on_real_axis():
-    vals = [abs(euler_product(2.0, b).value) for b in (10, 100, 1000, 10000)]
-    assert vals == sorted(vals)
-    assert vals[-1] < PI2_OVER_6
-
-
-def test_euler_product_domain():
-    with pytest.raises(DomainError):
-        euler_product(1.0 + 2.0j, 100)
-    with pytest.raises(ValueError):
-        euler_product(2.0, 1)
-
-
-def test_euler_product_committed_bound():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        s = complex(rng.uniform(1.5, 4.0), rng.uniform(-10, 10))
-        p = euler_product(s, 10**4)
-        assert abs(p.value - zeta(s).value) <= p.abs_err_est + 1e-12
-
-
 def test_pole_weight_near_one():
     # Re[eps * zeta'/zeta(1+eps)] -> -1; derivative by Richardson-combined
     # central differences.
@@ -209,17 +177,13 @@ def test_reflect_trivial_zero_exact():
     assert zeta_reflect(-2.0).value == 0.0
 
 
-def test_route_agreement_floor_and_euler():
+def test_route_agreement_floor_integral():
     rng = np.random.default_rng(41)
     for _ in range(100):
         s = complex(rng.uniform(1.0 + 1e-3, 3.0), rng.uniform(-20, 20))
         z = zeta(s)
         f = zeta_floor_integral(s)
         assert abs(z.value - f.value) < 1e-6
-        p = euler_product(s, 10**6)
-        # near Re(s)=1 the prime tail dominates; the committed estimate
-        # covers it (the flat 1e-6 would need alpha >~ 1.8)
-        assert abs(z.value - p.value) < 1e-6 + p.abs_err_est
 
 
 def test_conjugate_symmetry_all_regions():
@@ -274,11 +238,21 @@ def test_large_height_raises_typed_errors():
         zeta(-0.5 + 600j)  # sin(pi s / 2) leaves the floating range first
 
 
-@pytest.mark.parametrize("s", [3.0 + 1e12j, 3.0 - 1e100j, 0.5 + 2e5j, -0.5 + 2e5j, complex(2.0, 1.000001 * MAX_HEIGHT)])
-def test_zeta_raises_above_max_height_before_it_allocates(s):
-    # zeta(3+1e12j) asked numpy for 5.46 TiB, and zeta(3+1e100j) raised a bare ValueError
+ABOVE_MAX_HEIGHT = [
+    (f, s)
+    for f in (zeta, zeta_reflect)
+    for s in (3.0 + 1e12j, 3.0 - 1e100j, 0.5 + 2e5j, -0.5 + 2e5j, -3.0 + 1e100j, complex(2.0, 1.000001 * MAX_HEIGHT))
+]
+
+
+@pytest.mark.parametrize(
+    "f, s", ABOVE_MAX_HEIGHT, ids=[str(s) if f is zeta else f"{s}-zeta_reflect" for f, s in ABOVE_MAX_HEIGHT]
+)
+def test_zeta_raises_above_max_height_before_it_allocates(f, s):
+    # zeta(3+1e12j) asked numpy for 5.46 TiB, and zeta(3+1e100j) raised a bare ValueError;
+    # zeta_reflect(0.5+2e5j) and zeta_reflect(-3+1e100j) raised Overflow from sin and Gamma
     with pytest.raises(DomainError, match="supported up to height"):
-        zeta(s)
+        f(s)
     assert zeta(complex(2.0, MAX_HEIGHT)).method == "direct-series"
 
 
@@ -460,7 +434,7 @@ def test_non_finite_input_raises_domain_error(s):
     for res in (zeta_many([s, 2.0]), eta_many([s, 2.0])):
         assert isinstance(res[0], DomainError) and "finite" in str(res[0])
         assert isinstance(res[1].value, complex)
-    for f in (gamma, zeta_reflect, xi_factor):
+    for f in (gamma, zeta_reflect):
         with pytest.raises(DomainError, match="finite"):
             f(s)
 
@@ -474,11 +448,9 @@ def test_non_finite_input_raises_domain_error(s):
         half_cos,
         theta,
         lambda s: conj_ratio(s.real, s.imag),
-        lambda s: recip_gamma_euler(s, 100),
         zeta_floor_integral,
-        lambda s: euler_product(s, 100),
     ],
-    ids=["half_cos", "theta", "conj_ratio", "recip_gamma_euler", "zeta_floor_integral", "euler_product"],
+    ids=["half_cos", "theta", "conj_ratio", "zeta_floor_integral"],
 )
 def test_non_finite_input_to_the_other_routes_raises_domain_error(f, s):
     with pytest.raises(DomainError, match="finite"):
