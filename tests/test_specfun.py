@@ -1,4 +1,4 @@
-"""Gamma, its Lanczos sum, and the half-angle cosine."""
+"""Gamma, its reciprocal, its Lanczos sum, and the half-angle cosine."""
 
 import cmath
 import contextlib
@@ -9,7 +9,7 @@ import pytest
 
 from zetalab import gamma, half_cos, zeta
 from zetalab.errors import Overflow, PoleAtNonPositiveInteger, ZetaLabError
-from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos
+from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos, _rgamma
 
 SQRT_PI = 1.7724538509055160273
 
@@ -63,6 +63,30 @@ def test_gamma_error_commitment_via_recurrence():
         b = gamma(s)
         resid = abs(a.value - s * b.value)
         assert resid <= a.abs_err_est + abs(s) * b.abs_err_est + 1e-290
+
+
+def test_rgamma_zero_at_nonpositive_integers():
+    for k in range(0, 8):
+        assert _rgamma(complex(-k)) == 0.0
+
+
+def test_rgamma_is_the_reciprocal_of_gamma():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        s = complex(rng.uniform(-15, 15), rng.uniform(-15, 15))
+        assert abs(_rgamma(s) * gamma(s).value - 1.0) < 1e-11
+    assert abs(_rgamma(1.0) - 1.0) < 1e-15
+
+
+def test_functional_equation_from_gamma_and_half_cos():
+    # zeta(1-s) = 2 (2 pi)^-s cos(pi s / 2) Gamma(s) zeta(s)
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        s = complex(rng.uniform(1.6, 6.0), rng.uniform(-20, 20))
+        lhs = zeta(1.0 - s).value
+        rhs = 2.0 * TWO_PI ** (-s) * half_cos(s) * gamma(s).value * zeta(s).value
+        assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
+    assert abs(2.0 * TWO_PI**-2.0 * half_cos(2.0) * gamma(2.0).value - (-1.0 / (2.0 * math.pi**2))) < 1e-15
 
 
 @pytest.mark.parametrize("s", [1.0, -3.0, 5.0, -7.0])

@@ -12,6 +12,8 @@ from zetalab import (
     eta,
     gamma,
     half_cos,
+    kappa,
+    nu,
     theta,
     zeta,
     zeta_floor_integral,
@@ -449,8 +451,10 @@ def test_non_finite_input_raises_domain_error(s):
         theta,
         lambda s: conj_ratio(s.real, s.imag),
         zeta_floor_integral,
+        nu,
+        kappa,
     ],
-    ids=["half_cos", "theta", "conj_ratio", "zeta_floor_integral"],
+    ids=["half_cos", "theta", "conj_ratio", "zeta_floor_integral", "nu", "kappa"],
 )
 def test_non_finite_input_to_the_other_routes_raises_domain_error(f, s):
     with pytest.raises(DomainError, match="finite"):
