@@ -1,18 +1,12 @@
 """zetalab: a numerical laboratory for Riemann zeta identities.
 
 Evaluators for zeta/eta and their alternative representations, arithmetic
-sieves with a Dirichlet convolution engine, the reflection factors nu,
+sieves with a Dirichlet convolution kernel, the reflection factors nu,
 theta, and kappa, zero location/counting by the argument principle, and a
 deterministic claim-verification harness with a CLI front end.
 """
 
-from .arith import (
-    ArithTable,
-    CoeffSeq,
-    build_table,
-    dirichlet_convolve,
-    sigma_paper,
-)
+from .arith import ArithTable, build_table, dirichlet_convolve
 from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_check
 from .reflect import NuClassification, classify_nu, conj_ratio, kappa, nu, theta
 from .reporting import VERSION as __version__
@@ -24,7 +18,6 @@ from .zeta_eval import eta, eta_many, zeta, zeta_floor_integral, zeta_many, zeta
 __all__ = [
     "ArithTable",
     "CheckResult",
-    "CoeffSeq",
     "EvalResult",
     "NuClassification",
     "REGISTRY",
@@ -50,7 +43,6 @@ __all__ = [
     "nu",
     "run_all",
     "run_check",
-    "sigma_paper",
     "theta",
     "zeta",
     "zeta_floor_integral",

@@ -1,10 +1,11 @@
 """Integer arithmetic functions, sieves, and the Dirichlet convolution
-engine.
+kernel.
 
 Sieve conventions: Omega counts prime factors with multiplicity and
 Omega(1) = 0, so liouville(1) = 1; mangoldt(n) = ln p iff n = p^k;
-sigma_paper(n) is 0 for odd n and sum_{d | n/2} mu(d) for even n, taken
-literally (the divisor-sum oracle shows this collapses to [n == 2]).
+the column sigma_paper[n] is 0 for odd n and sum_{d | n/2} mu(d) for even
+n, taken literally and computed as (1*mu)(n/2) through dirichlet_convolve
+(the divisor-sum oracle shows this collapses to [n == 2]).
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ from .errors import BoundMismatch, CapacityError
 
 __all__ = [
     "ArithTable",
-    "CoeffSeq",
     "build_table",
     "cached_table",
-    "sigma_paper",
     "dirichlet_convolve",
     "primes_upto",
-    "delta_seq",
-    "one_seq",
-    "mu_seq",
-    "g_paper_seq",
 ]
 
 #: refuse sieve bounds above this many entries.
@@ -122,30 +117,48 @@ def build_table(n: int) -> ArithTable:
     liouville = 1 - 2 * (omega & 1).astype(np.int8)
     liouville[0] = 0
 
-    # the divisor sum of mu over m = n/2, accumulated at sigma[n]
+    # sigma[2m] = (1*mu)(m), the divisor sum of mu over m = n/2
     sigma = np.zeros(n + 1, dtype=np.int64)
-    _add_divisor_sums(mu, sigma[::2])
+    sigma[::2] = dirichlet_convolve(mu[: n // 2 + 1], np.ones(n // 2 + 1, dtype=np.int8))
 
     _construction_checks(n, mu, omega, liouville)
     return ArithTable(n, mu, omega, liouville, mangoldt, sigma)
 
 
-def _add_divisor_sums(mu: np.ndarray, out: np.ndarray) -> None:
-    """out[m] += sum_{d | m} mu[d] for m = 1..len(out) - 1: strided by d up
-    to r = isqrt(m) where mu[d] != 0, then by the cofactor k for d > r."""
-    m = out.size - 1
-    r = math.isqrt(m)
-    for d in (np.flatnonzero(mu[1 : r + 1]) + 1).tolist():
-        out[d::d] += mu[d]
-    for k in range(1, m // (r + 1) + 1):
-        hi = m // k
-        out[k * (r + 1) : k * hi + 1 : k] += mu[r + 1 : hi + 1]
+def dirichlet_convolve(f, g) -> np.ndarray:
+    """(f*g)(m) = sum_{d | m} f(d) g(m/d) for m = 1..n, from coefficient
+    arrays indexed 0..n (entry 0 unused, and 0 in the result). Products are
+    formed in np.result_type(f, g, np.int64), so small integers do not wrap.
+
+    Every divisor pair d*k = m <= n has d <= r = isqrt(n) or, if d > r,
+    k <= n // (r + 1): one loop strides by d over the first pairs, the other
+    by k over the rest, and both skip zero coefficients.
+
+    Raises:
+        ValueError: an array is not 1-d and finite with at least 2 entries.
+        BoundMismatch: the arrays differ in length.
+    """
+    f, g = np.asarray(f), np.asarray(g)
+    for c in (f, g):
+        if c.ndim != 1 or c.shape[0] < 2 or not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be a finite 1-d array with entries 1..n")
+    n = f.shape[0] - 1
+    if g.shape[0] != n + 1:
+        raise BoundMismatch(f"bounds differ: {n} vs {g.shape[0] - 1}")
+    dtype = np.result_type(f, g, np.int64)
+    out = np.zeros(n + 1, dtype=dtype)
+    r = math.isqrt(n)
+    for d in (np.flatnonzero(f[1 : r + 1]) + 1).tolist():
+        out[d::d] += dtype.type(f[d]) * g[1 : n // d + 1]
+    for k in (np.flatnonzero(g[1 : n // (r + 1) + 1]) + 1).tolist():
+        hi = n // k
+        out[k * (r + 1) : k * hi + 1 : k] += dtype.type(g[k]) * f[r + 1 : hi + 1]
+    return out
 
 
 def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: np.ndarray) -> None:
     limit = min(n, SELF_CHECK_LIMIT)
-    divsum = np.zeros(limit + 1, dtype=np.int64)
-    _add_divisor_sums(mu, divsum)
+    divsum = dirichlet_convolve(np.ones(limit + 1, dtype=np.int8), mu[: limit + 1])
     if divsum[1] != 1 or np.any(divsum[2:]):
         raise AssertionError("Mobius divisor-sum invariant failed at construction")
     if mu[1] != 1 or np.any(liouville[1:] != np.where(omega[1:] & 1, -1, 1)):
@@ -156,118 +169,3 @@ def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: n
 def cached_table(n: int) -> ArithTable:
     """Memoized build_table for the table bounds the harness reuses."""
     return build_table(n)
-
-
-def _mu_single(n: int) -> int:
-    """Mobius by trial division, for desk-scale single values."""
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def sigma_paper(n: int) -> int:
-    """0 for odd n; for even n the Mobius sum over divisors of n/2,
-    evaluated exactly as written via divisor enumeration."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n % 2 == 1:
-        return 0
-    m = n // 2
-    total = 0
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            total += _mu_single(d)
-            if d != m // d:
-                total += _mu_single(m // d)
-        d += 1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet-series coefficient sequences and the convolution engine.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Dirichlet-series coefficients indexed 1..bound (entry 0 unused)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise ValueError("coeffs must be a 1-d array with entries 1..N")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def bound(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.coeffs[n])
-
-
-def delta_seq(n: int) -> CoeffSeq:
-    """Convolution identity (1, 0, 0, ...)."""
-    c = np.zeros(n + 1)
-    c[1] = 1.0
-    return CoeffSeq(c)
-
-
-def one_seq(n: int) -> CoeffSeq:
-    """Constant sequence 1 (the zeta coefficients)."""
-    c = np.ones(n + 1)
-    c[0] = 0.0
-    return CoeffSeq(c)
-
-
-def mu_seq(table: ArithTable) -> CoeffSeq:
-    return CoeffSeq(table.mu.astype(np.float64))
-
-
-def g_paper_seq(table: ArithTable) -> CoeffSeq:
-    """Coefficients read literally from 1/zeta(2s) = sum mu(n) (2n)^(-s):
-    g[m] = mu(m/2) for even m, else 0."""
-    n = table.bound
-    c = np.zeros(n + 1)
-    even = np.arange(2, n + 1, 2)
-    c[even] = table.mu[even // 2]
-    return CoeffSeq(c)
-
-
-def dirichlet_convolve(f: CoeffSeq, g: CoeffSeq) -> CoeffSeq:
-    """Exact Dirichlet convolution (f*g)(n) = sum_{d|n} f(d) g(n/d) up to the
-    common bound via the divisor double loop.
-
-    Raises:
-        BoundMismatch: when the sequences have different bounds.
-    """
-    n = f.bound
-    if g.bound != n:
-        raise BoundMismatch(f"bounds differ: {n} vs {g.bound}")
-    out = np.zeros(n + 1)
-    fc = f.coeffs
-    gc = g.coeffs
-    for d in range(1, n + 1):
-        fd = fc[d]
-        if fd == 0.0:
-            continue
-        m = n // d
-        out[d :: d] += fd * gc[1 : m + 1]
-    return CoeffSeq(out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, Overflow, PoleAtNonPositiveInteger
@@ -172,7 +173,8 @@ def gamma(s: complex) -> EvalResult:
         PoleAtNonPositiveInteger: if s sits on (or within 1e-12 of) a pole.
         Overflow: if the value, or the power in its Lanczos sum, leaves the
             floating range.
-        DomainError: s is not finite.
+        DomainError: s is not finite, or the value fails below the normal
+            floating range (|Gamma| < 2.2e-308, such as gamma(0.5+470j)).
     """
     return EvalResult(*_gamma_pair(complex(s)), "rational-approx")
 
@@ -184,15 +186,32 @@ def _gamma_pair(s: complex) -> tuple[complex, float]:
     k = round(s.real)
     if k <= 0 and abs(s - k) < POLE_TOL:
         raise PoleAtNonPositiveInteger(f"gamma pole at or near {s}")
-    if s.real >= 0.5:
-        value = _lanczos(s)
-    else:  # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1 - s))
-        value = math.pi / (_sin_pi_complex(s) * _lanczos(1.0 - s))
-    if not cmath.isfinite(value) or value == 0.0:
-        raise Overflow(f"gamma({s}) exceeds the floating range")
+    try:
+        if s.real >= 0.5:
+            value = _lanczos(s)
+        else:  # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1 - s))
+            value = math.pi / (_sin_pi_complex(s) * _lanczos(1.0 - s))
+        if not cmath.isfinite(value) or value == 0.0:
+            raise Overflow(f"gamma({s}) exceeds the floating range")
+    except Overflow:  # a Gamma below the range fails through sin(pi s) or Gamma(1 - s) too
+        if (log_abs := _stirling_log_abs_gamma(s)) < math.log(sys.float_info.min):
+            raise DomainError(f"gamma({s}) underflows: ln|Gamma| is about {log_abs:.6g}") from None
+        raise
     if abs(s) <= 20.0 and abs(s.imag) <= 50.0:
         return value, _GAMMA_REL_ERR * abs(value)
     return value, _GAMMA_REL_ERR_FAR * abs(value)
+
+
+def _stirling_log_abs_gamma(s: complex) -> float:
+    """ln|Gamma(s)| from Stirling's leading terms, reflected left of 1/2.
+    Off by about 1/(12|s|), which is small where Gamma leaves the range."""
+    if s.real < 0.5:  # reflection: ln pi - ln|sin(pi s)| - ln|Gamma(1 - s)|, with y = pi |Im s| and
+        # |sin(pi s)| = |(sin(pi Re s), sinh y)| = e^y |(e^-y sin(pi Re s), (1 - e^-2y) / 2)|
+        _, sin_re = _cos_sin_pi_half(2.0 * s.real)
+        y = math.pi * abs(s.imag)
+        log_sin = y + math.log(math.hypot(math.exp(-y) * sin_re, -0.5 * math.expm1(-2.0 * y)))
+        return math.log(math.pi) - log_sin - _stirling_log_abs_gamma(1.0 - s)
+    return (s.real - 0.5) * math.log(abs(s)) - s.imag * math.atan2(s.imag, s.real) - s.real + 0.5 * LOG_TWO_PI
 
 
 def half_cos(s: complex) -> complex:

@@ -1,4 +1,4 @@
-"""Sieves against trial-division brute force, and the convolution engine."""
+"""Sieves against trial-division brute force, and the convolution kernel."""
 
 import math
 from functools import lru_cache
@@ -6,15 +6,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from zetalab import CoeffSeq, build_table, dirichlet_convolve, sigma_paper
-from zetalab.arith import (
-    _construction_checks,
-    cached_table,
-    delta_seq,
-    g_paper_seq,
-    mu_seq,
-    one_seq,
-)
+from zetalab import build_table, dirichlet_convolve
+from zetalab.arith import _construction_checks, cached_table
 from zetalab.errors import BoundMismatch, CapacityError
 
 # ---------------------------------------------------------------------------
@@ -174,6 +167,8 @@ def test_build_table_spot_values():
     assert table.liouville[12] == -1  # Omega(12) = 3, counted with multiplicity
     assert abs(table.mangoldt[8] - math.log(2.0)) < 1e-15
     assert table.mu[1] == 1 and table.liouville[1] == 1 and table.big_omega[1] == 0
+    assert table.sigma_paper[2] == 1  # mu(1) over divisors of 1
+    assert table.sigma_paper[12] == 0  # 1 - 1 - 1 + 1 over divisors of 6
 
 
 def test_build_table_validation():
@@ -183,62 +178,84 @@ def test_build_table_validation():
         build_table(200_000_000)
 
 
-def test_sigma_paper_examples():
-    assert sigma_paper(9) == 0
-    assert sigma_paper(2) == 1  # mu(1) over divisors of 1
-    assert sigma_paper(12) == 0  # 1 - 1 - 1 + 1 over divisors of 6
-    for n in range(1, 300):
-        assert sigma_paper(n) == sigma_brute(n) == (1 if n == 2 else 0)
+# ---------------------------------------------------------------------------
+# Convolution kernel.
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Convolution engine.
-# ---------------------------------------------------------------------------
+def convolve_brute(f: np.ndarray, g: np.ndarray) -> list[int | float]:
+    """(f*g)(m) by the double loop over d | m, in Python numbers."""
+    n = len(f) - 1
+    return [0] + [sum(f[d].item() * g[m // d].item() for d in divisors(m)) for m in range(1, n + 1)]
 
 
 def test_convolution_with_delta_is_identity():
     rng = np.random.default_rng(31)
-    coeffs = np.zeros(201)
-    coeffs[1:] = rng.integers(-5, 6, size=200)
-    f = CoeffSeq(coeffs)
-    out = dirichlet_convolve(f, delta_seq(200))
-    assert np.array_equal(out.coeffs, f.coeffs)
+    f = np.zeros(201)
+    f[1:] = rng.integers(-5, 6, size=200)
+    delta = np.zeros(201)
+    delta[1] = 1.0
+    assert np.array_equal(dirichlet_convolve(f, delta), f)
 
 
 def test_one_star_mu_is_delta():
     table = cached_table(10**4)
-    conv = dirichlet_convolve(one_seq(10**4), mu_seq(table))
-    assert conv.coeffs[1] == 1.0
-    assert not np.any(conv.coeffs[2:])
+    conv = dirichlet_convolve(np.ones(10**4 + 1), table.mu)
+    assert conv[1] == 1
+    assert not np.any(conv[2:])
 
 
 def test_convolution_commutative_and_associative():
     rng = np.random.default_rng(8)
-    n = 512
 
-    def rand_seq():
+    def rand_seq(n):
         c = np.zeros(n + 1)
         c[1:] = rng.integers(-4, 5, size=n)
-        return CoeffSeq(c)
+        return c
 
-    f, g, h = rand_seq(), rand_seq(), rand_seq()
-    assert np.array_equal(dirichlet_convolve(f, g).coeffs, dirichlet_convolve(g, f).coeffs)
-    lhs = dirichlet_convolve(dirichlet_convolve(f, g), h).coeffs
-    rhs = dirichlet_convolve(f, dirichlet_convolve(g, h)).coeffs
+    n = 512
+    f, g, h = rand_seq(n), rand_seq(n), rand_seq(n)
+    assert np.array_equal(dirichlet_convolve(f, g), dirichlet_convolve(g, f))
+    lhs = dirichlet_convolve(dirichlet_convolve(f, g), h)
+    rhs = dirichlet_convolve(f, dirichlet_convolve(g, h))
     assert np.array_equal(lhs, rhs)
+    # the split point isqrt(n) moves between these lengths
+    for n in (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 35, 36, 37, 99, 100, 101):
+        f, g = rand_seq(n), rand_seq(n)
+        assert dirichlet_convolve(f, g).tolist() == convolve_brute(f, g), n
+    # int8 inputs of 100 give products of 10^4, which int8 would wrap
+    f = np.full(65, 100, dtype=np.int8)
+    conv = dirichlet_convolve(f, f)
+    assert conv.dtype == np.int64 and conv[2] == 20000
+    assert conv.tolist() == convolve_brute(f, f)
 
 
-def test_convolution_bound_mismatch():
-    with pytest.raises(BoundMismatch):
-        dirichlet_convolve(one_seq(10), one_seq(11))
+@pytest.mark.parametrize(
+    "f, g, error",
+    [
+        (np.ones(11), np.ones(12), BoundMismatch),
+        (np.ones((2, 11)), np.ones((2, 11)), ValueError),
+        (np.ones(1), np.ones(1), ValueError),
+        (np.ones(11), np.array([0.0, 1.0, np.nan, *np.ones(8)]), ValueError),
+        (np.array([0.0, np.inf, *np.ones(9)]), np.ones(11), ValueError),
+    ],
+    ids=["unequal-lengths", "not-1d", "length-1", "nan", "inf"],
+)
+def test_convolution_rejects_malformed_input(f, g, error):
+    with pytest.raises(error):
+        dirichlet_convolve(f, g)
 
 
 def test_g_paper_convolution_reproduces_sigma():
-    # (1 * g)(n) with g[m] = mu(m/2) on even m equals the sigma definition,
-    # and the brute-force oracle shows both collapse to [n == 2].
-    table = cached_table(10**4)
-    conv = dirichlet_convolve(one_seq(10**4), g_paper_seq(table))
-    assert np.array_equal(conv.coeffs, table.sigma_paper.astype(np.float64))
-    expected = np.zeros(10**4 + 1)
+    # (1 * g)(n) with g[m] = mu(m/2) on even m, read literally from
+    # 1/zeta(2s) = sum mu(n) (2n)^(-s), equals the sigma definition, and the
+    # brute-force oracle shows both collapse to [n == 2].
+    n = 10**4
+    table = cached_table(n)
+    g = np.zeros(n + 1)
+    g[2::2] = table.mu[1 : n // 2 + 1]
+    conv = dirichlet_convolve(np.ones(n + 1), g)
+    assert np.array_equal(conv, table.sigma_paper)
+    expected = np.zeros(n + 1)
     expected[2] = 1.0
-    assert np.array_equal(conv.coeffs, expected)
+    assert np.array_equal(conv, expected)

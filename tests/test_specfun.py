@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zetalab import gamma, half_cos, zeta
-from zetalab.errors import Overflow, PoleAtNonPositiveInteger, ZetaLabError
+from zetalab.errors import DomainError, Overflow, PoleAtNonPositiveInteger, ZetaLabError
 from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos, _rgamma
 
 SQRT_PI = 1.7724538509055160273
@@ -113,8 +113,11 @@ def test_half_cos_overflow_guard():
 
 
 def test_gamma_reflection_overflow_is_typed():
-    with pytest.raises(Overflow):
-        gamma(-0.5 + 500j)
+    # sin(pi s), Gamma(1 - s) or the Lanczos power overflows on the way to
+    # a Gamma below the floating range: an underflow, not an Overflow
+    for s in (-0.5 + 500j, -175.5, 0.5 + 2e5j):
+        with pytest.raises(DomainError, match="underflows"):
+            gamma(s)
 
 
 def test_gamma_is_finite_where_the_lanczos_power_alone_overflows():
