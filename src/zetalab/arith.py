@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,23 +56,36 @@ class ArithTable:
 
     Attributes:
         bound: largest index N.
-        mu: Mobius function, values in {-1, 0, 1}.
-        big_omega: number of prime factors counted with multiplicity.
-        liouville: (-1)^big_omega, values in {-1, 1}.
-        mangoldt: ln p at prime powers p^k, else 0.
-        sigma_paper: 0 at odd n, sum_{d | n/2} mu(d) at even n.
+        mu: Mobius function, values in {-1, 0, 1} (int8).
+        big_omega: number of prime factors counted with multiplicity (int16).
+        liouville: (-1)^big_omega, values in {-1, 1} (int8).
+        sigma_paper: 0 at odd n, sum_{d | n/2} mu(d) at even n, in {0, 1} (int8).
+        mangoldt: ln p at prime powers p^k, else 0 (float64), computed on first access.
     """
 
     bound: int
     mu: np.ndarray
     big_omega: np.ndarray
     liouville: np.ndarray
-    mangoldt: np.ndarray
     sigma_paper: np.ndarray
+
+    @cached_property
+    def mangoldt(self) -> np.ndarray:
+        n = self.bound
+        primes = primes_upto(n)
+        out = np.zeros(n + 1, dtype=np.float64)
+        out[primes] = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=primes.size)
+        for p in primes[: np.searchsorted(primes, math.isqrt(n), side="right")].tolist():
+            pk = p * p
+            while pk <= n:
+                out[pk] = out[p]
+                pk *= p
+        return out
 
 
 def build_table(n: int) -> ArithTable:
-    """Sieve all five arrays up to n and run the construction invariants.
+    """Sieve mu, big_omega, liouville and sigma_paper up to n and run the
+    construction invariants; mangoldt waits for its first access.
 
     Args:
         n: bound, 2 <= n <= memory budget.
@@ -87,42 +100,41 @@ def build_table(n: int) -> ArithTable:
         raise CapacityError(f"bound {n} exceeds budget {MEMORY_BUDGET}")
 
     primes = primes_upto(n)
-    n_small = int(np.searchsorted(primes, math.isqrt(n), side="right"))
+    r = math.isqrt(n)
+    n_small = int(np.searchsorted(primes, r, side="right"))
 
-    # Strided passes over the primes <= sqrt(n); dividing them out of `rest`
-    # leaves 1 or the single prime factor above sqrt(n) at each index.
+    # strided passes over the primes <= r
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     omega = np.zeros(n + 1, dtype=np.int16)
-    mangoldt = np.zeros(n + 1, dtype=np.float64)
-    rest = np.arange(n + 1, dtype=np.int32)
     for p in primes[:n_small].tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-        log_p = math.log(p)
         pk = p
         while pk <= n:
             omega[pk::pk] += 1
-            mangoldt[pk] = log_p
-            rest[pk::pk] //= p
             pk *= p
-    has_large = rest > 1
-    del rest
+    # each i <= n has at most one prime factor q > r, and i = q*m with m <= n // (r + 1)
+    large = primes[n_small:]
+    has_large = np.zeros(n + 1, dtype=bool)
+    for m in range(1, n // (r + 1) + 1):
+        has_large[m * large[: np.searchsorted(large, n // m, side="right")]] = True
     omega += has_large
     mu *= 1 - 2 * has_large.view(np.int8)
     del has_large
-    large = primes[n_small:]
-    mangoldt[large] = np.fromiter(map(math.log, large), dtype=np.float64, count=large.size)
 
     liouville = 1 - 2 * (omega & 1).astype(np.int8)
     liouville[0] = 0
 
-    # sigma[2m] = (1*mu)(m), the divisor sum of mu over m = n/2
-    sigma = np.zeros(n + 1, dtype=np.int64)
-    sigma[::2] = dirichlet_convolve(mu[: n // 2 + 1], np.ones(n // 2 + 1, dtype=np.int8))
+    # sigma[2m] = (1*mu)(m), the divisor sum of mu over m = n/2, stored as int8
+    divsum = dirichlet_convolve(mu[: n // 2 + 1], np.ones(n // 2 + 1, dtype=np.int8))
+    sigma = np.zeros(n + 1, dtype=np.int8)
+    sigma[::2] = divsum
+    if not np.array_equal(sigma[::2], divsum):
+        raise AssertionError("sigma_paper leaves the int8 range at construction")
 
     _construction_checks(n, mu, omega, liouville)
-    return ArithTable(n, mu, omega, liouville, mangoldt, sigma)
+    return ArithTable(n, mu, omega, liouville, sigma)
 
 
 def dirichlet_convolve(f, g) -> np.ndarray:
@@ -161,7 +173,7 @@ def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: n
     divsum = dirichlet_convolve(np.ones(limit + 1, dtype=np.int8), mu[: limit + 1])
     if divsum[1] != 1 or np.any(divsum[2:]):
         raise AssertionError("Mobius divisor-sum invariant failed at construction")
-    if mu[1] != 1 or np.any(liouville[1:] != np.where(omega[1:] & 1, -1, 1)):
+    if mu[1] != 1 or np.any(liouville[1:] != np.where(omega[1:] & 1, np.int8(-1), np.int8(1))):
         raise AssertionError("liouville/omega invariant failed at construction")
 
 

@@ -211,7 +211,7 @@ def _check_lines(cfg: RunConfig, rng) -> tuple[float, int, str]:
 def _check_funceq(cfg: RunConfig, rng) -> tuple[float, int, str]:
     pts = _sample_away_from_zeros(rng, 100, 0.05, 0.95, 0.5, 30.0)
     worst = 0.0
-    for lhs, rhs in zip(_zeta_pairs(pts), _zeta_values(pts, ["reflect"] * len(pts))):
+    for lhs, rhs in zip(_zeta_pairs(pts), _zeta_values(pts, ["reflect"] * len(pts), "zeta_reflect")):
         worst = max(worst, abs(_ok(lhs)[0] - _ok(rhs)[0]))
     return worst, len(pts), "residual of the symmetric functional equation in the strip"
 

@@ -82,7 +82,7 @@ def nu(s: complex) -> EvalResult:
         Overflow: the value or its bound leaves the floating range.
     """
     s = complex(s)
-    if abs(s - 1.0) < 1e-9:
+    if abs(s.imag) < 1e-9 and abs(s - 1.0) < 1e-9:  # abs(s - 1.0) alone overflows near |s| = 1e308
         raise NearPole(f"nu degenerates at the zeta pole, got {s}")
     z = zeta(s)
     if abs(z.value) < _ZETA_ZERO_GUARD:

@@ -91,7 +91,7 @@ def _sin_pi_complex(z: complex) -> complex:
     Keeps full relative accuracy arbitrarily close to the zeros of sin,
     which the naive cmath.sin(pi*z) loses for |Re(z)| >> 1.
     """
-    c, s = _cos_sin_pi_half(2.0 * z.real)
+    c, s = _cos_sin_pi_half(2.0 * math.fmod(z.real, 2.0))  # exact, and finite where 2 Re z is not
     y = math.pi * z.imag
     try:
         return complex(s * math.cosh(y), c * math.sinh(y))
@@ -140,10 +140,10 @@ def _lanczos(z: complex) -> complex:
     t = w + _LANCZOS_G + 0.5
     try:
         return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # the latter from the power near |z| = 1e308
         # from Re z of about 143 the power overflows before exp(-t) shrinks it;
         # its square root does not, up to Gamma's own overflow near 171.6
-        with contextlib.suppress(OverflowError):
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
             p = t ** ((w + 0.5) / 2)
             if cmath.isfinite(value := _SQRT_TWO_PI * p * (cmath.exp(-t) * p) * acc):
                 return value
@@ -207,11 +207,12 @@ def _stirling_log_abs_gamma(s: complex) -> float:
     Off by about 1/(12|s|), which is small where Gamma leaves the range."""
     if s.real < 0.5:  # reflection: ln pi - ln|sin(pi s)| - ln|Gamma(1 - s)|, with y = pi |Im s| and
         # |sin(pi s)| = |(sin(pi Re s), sinh y)| = e^y |(e^-y sin(pi Re s), (1 - e^-2y) / 2)|
-        _, sin_re = _cos_sin_pi_half(2.0 * s.real)
+        _, sin_re = _cos_sin_pi_half(2.0 * math.fmod(s.real, 2.0))
         y = math.pi * abs(s.imag)
         log_sin = y + math.log(math.hypot(math.exp(-y) * sin_re, -0.5 * math.expm1(-2.0 * y)))
         return math.log(math.pi) - log_sin - _stirling_log_abs_gamma(1.0 - s)
-    return (s.real - 0.5) * math.log(abs(s)) - s.imag * math.atan2(s.imag, s.real) - s.real + 0.5 * LOG_TWO_PI
+    # cmath.log(s).real is ln|s| also where abs(s) overflows
+    return (s.real - 0.5) * cmath.log(s).real - s.imag * math.atan2(s.imag, s.real) - s.real + 0.5 * LOG_TWO_PI
 
 
 def half_cos(s: complex) -> complex:

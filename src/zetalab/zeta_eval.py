@@ -139,8 +139,8 @@ def _eta_plan(s: complex) -> tuple[int, float]:
     t = abs(s.imag)
     scale = 8.0 * (1.0 + 2.0 * t)
     half_pi_t = _HALF_PI * t
-    n = math.ceil((math.log(scale) + half_pi_t - _LN_HALF_TARGET) / _LN_CVZ_RHO) + 2
-    n = min(max(n, 8), _CVZ_MAX_N)
+    x = (math.log(scale) + half_pi_t - _LN_HALF_TARGET) / _LN_CVZ_RHO
+    n = min(max(math.ceil(min(x, _CVZ_MAX_N)) + 2, 8), _CVZ_MAX_N)  # x is inf near t = 1e308, which ceil refuses
     try:
         bound = scale * math.exp(half_pi_t) * _cvz_weights(n)[4]
     except OverflowError:
@@ -206,7 +206,9 @@ def eta_many(points) -> list[EvalResult | ZetaLabError]:
 def _eta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
     """eta_many's (value, bound) pairs, or errors."""
     pts = [complex(p) for p in points]
-    return _batch(pts, [_try(_eta_plan, s) for s in pts], _eta_kernel, _eta_value)
+    plans = [_try(_eta_plan, s) for s in pts]
+    # the kernel takes Re s at most 1e300, where eta is 1 to the last bit, so that -Re s ln k cannot overflow
+    return _batch([complex(min(s.real, 1e300), s.imag) for s in pts], plans, _eta_kernel, _eta_value)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +384,12 @@ def _routes(pts: list[complex]) -> list:
     return out
 
 
-def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float] | ZetaLabError]:
+def _zeta_values(pts: list[complex], routes: list, name: str = "zeta") -> list[tuple[complex, float] | ZetaLabError]:
     """(value, bound) pairs of zeta at pts, or errors, on the given routes;
     an error in place of a route stands for itself. A value or bound that is
-    not finite becomes a DomainError."""
+    not finite becomes a DomainError that names the function called name."""
     out = list(routes)
-    em, strip = ([i for i, r in enumerate(routes) if r == name] for name in ("em", "strip"))
+    em, strip = ([i for i, r in enumerate(routes) if r == key] for key in ("em", "strip"))
     reflect = []
     for i, r in enumerate(routes):
         if r == "reflect":
@@ -417,7 +419,7 @@ def _zeta_values(pts: list[complex], routes: list) -> list[tuple[complex, float]
             out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(pts[i], *out[i], *z1)
     for i in em + reflect:  # the routes whose arithmetic can overflow
         if not (isinstance(out[i], ZetaLabError) or cmath.isfinite(out[i][0]) and math.isfinite(out[i][1])):
-            out[i] = DomainError(f"zeta at s = {pts[i]} leaves the floating range on the {routes[i]} route")
+            out[i] = DomainError(f"{name} at s = {pts[i]} leaves the floating range on the {routes[i]} route")
     return out
 
 
@@ -445,7 +447,7 @@ def zeta_reflect(s: complex) -> EvalResult:
     """
     s = complex(s)
     _check_entry(s, "zeta_reflect")
-    return EvalResult(*_ok(*_zeta_values([s], ["reflect"])), "functional-equation")
+    return EvalResult(*_ok(*_zeta_values([s], ["reflect"], "zeta_reflect")), "functional-equation")
 
 
 # ---------------------------------------------------------------------------

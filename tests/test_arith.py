@@ -1,6 +1,7 @@
 """Sieves against trial-division brute force, and the convolution kernel."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -117,7 +118,10 @@ def test_sieve_matches_bruteforce_every_small_bound():
 
 @pytest.mark.parametrize("p", [2, 3, 7, 31, 97, 157])
 def test_sieve_matches_bruteforce_around_prime_squares(p):
-    for n in (p * p - 1, p * p, p * p + 1, 2 * p * p - 1, 2 * p * p, 2 * p * p + 1):
+    # p*q with q the next prime is the smallest bound at which m = p multiplies a prime
+    # above isqrt(n): the edges of the range m <= n // (isqrt(n) + 1) of the marking loop
+    q = next(k for k in range(p + 1, 2 * p + 1) if all(k % d for d in range(2, math.isqrt(k) + 1)))
+    for n in (p * p - 1, p * p, p * p + 1, 2 * p * p - 1, 2 * p * p, 2 * p * p + 1, p * q - 1, p * q, p * q + 1):
         if n >= 2:
             assert_table_matches_oracle(n)
 
@@ -133,7 +137,31 @@ def test_build_table_dtypes():
     assert table.big_omega.dtype == np.int16
     assert table.liouville.dtype == np.int8
     assert table.mangoldt.dtype == np.float64
-    assert table.sigma_paper.dtype == np.int64
+    assert table.sigma_paper.dtype == np.int8
+
+
+def test_build_table_leaves_mangoldt_uncomputed_until_it_is_read():
+    tracemalloc.start()
+    try:
+        table = build_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # mu, big_omega, liouville and sigma_paper take 5 MB; the int64 convolution
+    # and its largest product 8 MB more, the float64 mangoldt column 8 MB
+    assert peak < 16e6, peak
+    assert "mangoldt" not in vars(table)
+    mangoldt = table.mangoldt
+    assert table.mangoldt is mangoldt and mangoldt.dtype == np.float64
+    assert mangoldt[999983] == math.log(999983) and mangoldt[2**19] == math.log(2) and mangoldt[10**6] == 0.0
+
+
+def test_build_table_refuses_a_sigma_outside_int8(monkeypatch):
+    from zetalab import arith
+
+    monkeypatch.setattr(arith, "dirichlet_convolve", lambda f, g: np.full(f.shape, 200))
+    with pytest.raises(AssertionError, match="int8"):
+        build_table(100)
 
 
 def test_sigma_paper_divisor_sum_collapses_at_1e6():

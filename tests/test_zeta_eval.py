@@ -312,6 +312,14 @@ def test_em_route_raises_where_its_value_or_bound_leaves_the_floating_range(s):
     assert res[1] == zeta(2.0)
 
 
+def test_reflect_route_errors_name_the_function_called():
+    # errors from the batch zeta_reflect shares with zeta named zeta
+    with pytest.raises(DomainError, match=r"^zeta_reflect at s = \(-300\+10j\) leaves the floating range"):
+        zeta_reflect(-300 + 10j)
+    with pytest.raises(DomainError, match=r"^zeta at s = \(-300\+10j\) leaves the floating range"):
+        zeta(-300 + 10j)
+
+
 def _reflected_reference(s: complex) -> tuple[complex, float]:
     """zeta(s) on the reflected route and its bound, from gamma(), _rgamma and
     zeta(1 - s) by the functional equation's formula term for term."""
