@@ -54,11 +54,11 @@ def test_evaluators_raise_typed_errors_and_return_finite_values(points):
 @pytest.mark.parametrize(
     "f, s",
     [
-        (gamma, 1e308 + 1e308j),  # ZeroDivisionError from the Lanczos power
+        (gamma, 1e308 + 1e308j),  # the Lanczos power raises ZeroDivisionError
         (gamma, 0.5 - 1e308j),
-        (gamma, -1e308 + 1e308j),  # ValueError from fmod(inf) in sin(pi s)
+        (gamma, -1e308 + 1e308j),  # 2 Re s is inf in sin(pi s)
         (gamma, -1.7e308 + 0.5j),
-        (eta, 0.5 - 1e308j),  # OverflowError from ceil(inf) in the term count
+        (eta, 0.5 - 1e308j),  # the term count's log term is inf
         (kappa, 0.5 - 1e308j),
         (eta, 1e308 + 1e308j),
     ],
@@ -69,7 +69,7 @@ def test_evaluators_raise_typed_errors_at_the_top_of_the_float_range(f, s):
 
 
 def test_every_evaluator_raises_typed_errors_on_the_grid_of_extremes():
-    # nu's pole test abs(s - 1) overflowed where both parts are near the largest double
+    # abs(s - 1) overflows where both parts are near the largest double, as in nu's pole test
     points = [complex(x, y) for x in (0.5, *EXTREMES) for y in (0.0, 0.5, *EXTREMES)]
     for f in (zeta, zeta_reflect, eta, gamma, nu, kappa, theta):
         for s in points:

@@ -313,7 +313,7 @@ def test_em_route_raises_where_its_value_or_bound_leaves_the_floating_range(s):
 
 
 def test_reflect_route_errors_name_the_function_called():
-    # errors from the batch zeta_reflect shares with zeta named zeta
+    # zeta_reflect runs in the batch zeta uses, and its errors name the function called
     with pytest.raises(DomainError, match=r"^zeta_reflect at s = \(-300\+10j\) leaves the floating range"):
         zeta_reflect(-300 + 10j)
     with pytest.raises(DomainError, match=r"^zeta at s = \(-300\+10j\) leaves the floating range"):
