@@ -289,11 +289,16 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
     winding census of the window.
 
     The scan runs coarse to fine. Z is evaluated at every m-th grid point,
-    m = max(1, int(0.2 / step)), and at the last one; then at the interior
-    grid points of each coarse cell whose ends differ in sign. Below eta's
-    height limit the closest zeros lie 0.4364 apart, at t = 415.019 and
-    415.455 (mpmath zetazero, the first 236 zeros), so no cell holds two of
-    them, and the scan finds the sign changes of the full grid.
+    m = max(1, int(0.2 / step)), and at the last one. Each coarse cell whose
+    ends differ in sign is then halved on the grid, all cells at once, until
+    its ends are adjacent grid points: about log2(m) evaluations of Z per
+    cell, not m - 1. Below eta's height limit the closest zeros lie 0.4364
+    apart, at t = 415.019 and 415.455 (mpmath zetazero, the first 236
+    zeros), so no cell holds two of them, and each bracket, with Z's signs
+    and bounds at its ends, is the one a scan of the full grid finds. The two
+    differ only where the computed sign of Z flickers at a grid point, which
+    takes |Z| within its bound there: the full grid would open spurious
+    brackets around such a point, and the halving keeps one of them.
 
     A sign change with |Z| above Z's bound at both grid ends proves a zero on
     the line. If all are proven and count_zeros_rect(Rect(0, 1, t_min, t_max))
@@ -324,26 +329,24 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
     # the census runs first, so that its waypoints and the scan's arrays never coexist
     census = _try(count_zeros_rect, Rect(0.0, 1.0, t_min, t_max))
     ts = t_min + step * np.arange(n_steps + 1.0)
-    # Z's sign at every m-th grid point and the last one; a coarse cell whose
-    # ends share a sign holds no zero, and its interior takes that sign
-    last = len(ts) - 1
-    coarse = list(range(0, last, max(1, int(_COARSE_CELL / step)))) + [last]
-    negative = np.empty(len(ts), dtype=bool)
+    # Z's sign at every m-th grid point and the last one; a grid value of
+    # exactly 0 counts as positive. Each coarse cell whose ends differ in sign
+    # is halved on the grid indices, all at once, until its ends are adjacent
+    coarse = np.array([*range(0, len(ts) - 1, max(1, int(_COARSE_CELL / step))), len(ts) - 1])
     clear = np.zeros(len(ts), dtype=bool)
-    negative[coarse], clear[coarse] = _z_signs(ts[coarse])
-    fine = []
-    for a, b in zip(coarse, coarse[1:]):
-        if negative[a] == negative[b]:
-            negative[a + 1 : b] = negative[a]
-        else:
-            fine.extend(range(a + 1, b))
-    negative[fine], clear[fine] = _z_signs(ts[fine])
+    negative, clear[coarse] = _z_signs(ts[coarse])
+    cells = np.flatnonzero(negative[1:] != negative[:-1])
+    lo, hi, left_negative = coarse[cells], coarse[cells + 1], negative[cells]
+    while (open_ := hi - lo > 1).any():
+        mid = (lo[open_] + hi[open_]) // 2
+        mid_negative, clear[mid] = _z_signs(ts[mid])
+        to_left = mid_negative == left_negative[open_]
+        lo[open_] = np.where(to_left, mid, lo[open_])
+        hi[open_] = np.where(to_left, hi[open_], mid)
 
-    # a grid value of exactly 0 counts as positive, so it opens one bracket;
     # every bracket is halved at once, until it is 1e-10 wide
-    left = np.flatnonzero(negative[1:] != negative[:-1])
-    proven = (clear[left] & clear[left + 1]).tolist()
-    a, b, left_negative = ts[left], ts[left + 1], negative[left]
+    proven = (clear[lo] & clear[hi]).tolist()
+    a, b = ts[lo], ts[hi]
     while (open_ := b - a > 1e-10).any():
         m = 0.5 * (a[open_] + b[open_])
         to_left = _z_signs(m)[0] == left_negative[open_]

@@ -61,11 +61,14 @@ _FLOOR_MAX_SEGMENTS = 10_000_000
 # Accelerated alternating series (binomial/Chebyshev weights).
 #
 # Every evaluation here is a batch; eta, zeta and zeta_reflect evaluate a
-# one-point list. A kernel runs on a (k, 1) column of points that share n,
-# and a point's result does not depend on the rest of its column: numpy's
-# elementwise operations do not depend on position, and np.vecdot reduces
-# each row on its own (`rows @ w` is a matrix-vector product and rounds
-# differently).
+# one-point list. _batch sorts the points by term count n and cuts them into
+# blocks whose largest n is at most 9/8 of the smallest, so that padding
+# costs little. A kernel computes a block's terms once, at its largest n,
+# and reduces each run of one n on the prefix [..., :n]; ln 1..n is a prefix
+# of ln 1..n_max. A point's result does not depend on the rest of its block:
+# numpy's elementwise operations do not depend on position, and np.vecdot
+# and np.sum reduce each row on its own (`rows @ w` is a matrix-vector
+# product and rounds differently).
 # ---------------------------------------------------------------------------
 
 _CVZ_RHO = 3.0 + math.sqrt(8.0)
@@ -110,22 +113,30 @@ def _ok(result):
 
 
 def _batch(pts: list[complex], plans: list, kernel, finish) -> list:
-    """Run kernel(column, n) once per block of points that share n, where
-    plans[i] is a tuple (n, ...) for pts[i] or its error, and finish each
-    row as finish(s, *plans[i], *row)."""
+    """Run kernel(points, ns) once per block of points with ascending term
+    counts ns, where plans[i] is a tuple (n, ...) for pts[i] or its error, and
+    finish each row as finish(s, *plans[i], *row). A block's largest n is at
+    most 9/8 of its smallest, and rows x largest n at most _BATCH_TERMS."""
     out = list(plans)
-    groups: dict[int, list[int]] = {}
-    for i, plan in enumerate(plans):
-        if not isinstance(plan, ZetaLabError):
-            groups.setdefault(plan[0], []).append(i)
-    for n, members in groups.items():
-        size = max(1, _BATCH_TERMS // n)
-        for lo in range(0, len(members), size):
-            block = members[lo : lo + size]
-            column = np.array([pts[i] for i in block])[:, None]
-            for i, *row in zip(block, *kernel(column, n)):
-                out[i] = finish(pts[i], *plans[i], *row)
+    order = sorted((i for i, plan in enumerate(plans) if not isinstance(plan, ZetaLabError)), key=lambda i: plans[i][0])
+    ns = [plans[i][0] for i in order]
+    lo = 0
+    while lo < len(ns):
+        hi = lo + 1
+        while hi < len(ns) and 8 * ns[hi] <= 9 * ns[lo] and (hi + 1 - lo) * ns[hi] <= _BATCH_TERMS:
+            hi += 1
+        block = order[lo:hi]
+        for i, *row in zip(block, *kernel(np.array([pts[i] for i in block]), ns[lo:hi])):
+            out[i] = finish(pts[i], *plans[i], *row)
+        lo = hi
     return out
+
+
+def _per_n(ns: list[int], reduce) -> list:
+    """reduce(lo, hi, n) for each run ns[lo:hi] of one n in the ascending ns,
+    joined along the last axis, as lists."""
+    cuts = [0, *(i for i in range(1, len(ns)) if ns[i] != ns[i - 1]), len(ns)]
+    return np.concatenate([reduce(lo, hi, ns[lo]) for lo, hi in zip(cuts, cuts[1:])], axis=-1).tolist()
 
 
 def _eta_plan(s: complex) -> tuple[int, float]:
@@ -150,23 +161,25 @@ def _eta_plan(s: complex) -> tuple[int, float]:
     return n, bound
 
 
-def _eta_kernel(s: np.ndarray, n: int) -> list[list]:
+def _eta_kernel(s: np.ndarray, ns: list[int]) -> list[list]:
     """The weighted sums of k^-a cos(b ln k) and of k^-a sin(b ln k),
-    k = 1..n, for each point a + ib of the column s; points at one height
-    share one cos/sin row."""
-    _, w, lm, _, _ = _cvz_weights(n)
-    rows: dict[float, int] = {}
-    index = [rows.setdefault(b, len(rows)) for b in s.imag.ravel().tolist()]
-    phase = np.array(list(rows))[:, None] * lm
+    k = 1..n, for each point a + ib of s and its n in ns; points at one
+    height share one cos/sin row, and points with one real part one k^-a row."""
+    lm = _cvz_weights(ns[-1])[2]
+    heights, reals = {}, {}
+    at_height = [heights.setdefault(b, len(heights)) for b in s.imag.tolist()]
+    at_real = [reals.setdefault(a, len(reals)) for a in s.real.tolist()]
+    phase = np.array(list(heights))[:, None] * lm
     # the cos and the sin rows in one array, so that one product and one
     # vecdot serve both
     terms = np.empty((2, *phase.shape))
     np.cos(phase, out=terms[0])
     np.sin(phase, out=terms[1])
-    if len(rows) < len(index):
-        terms = terms[:, index]
-    terms *= np.exp(-s.real * lm)
-    return np.vecdot(terms, w).tolist()
+    if len(heights) < len(s):
+        terms = terms[:, at_height]
+    powers = np.exp(-np.array(list(reals))[:, None] * lm)
+    terms *= powers[at_real] if len(reals) < len(s) else powers
+    return _per_n(ns, lambda lo, hi, n: np.vecdot(terms[:, lo:hi, :n], _cvz_weights(n)[1]))
 
 
 def _eta_value(s: complex, n: int, bound: float, cos_sum: float, sin_sum: float) -> tuple[complex, float]:
@@ -249,9 +262,11 @@ def _em_plan(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, abs(_EM_COEF[_EM_ORDER]) * p * (np.abs(s) + 2 * _EM_ORDER + 1) / (s.real + 2 * _EM_ORDER + 1)
 
 
-def _em_kernel(s: np.ndarray, n: int) -> tuple[np.ndarray]:
-    """The head sums sum_{m<n} m^-s, as the 1-tuple of rows that _batch unpacks."""
-    return (np.sum(np.exp(-s * np.log(np.arange(1.0, n))), axis=-1).tolist(),)
+def _em_kernel(s: np.ndarray, ns: list[int]) -> tuple[list]:
+    """The head sums sum_{m<n} m^-s for each point of s and its n in ns, as
+    the 1-tuple of rows that _batch unpacks."""
+    terms = np.exp(-s[:, None] * np.log(np.arange(1.0, ns[-1])))
+    return (_per_n(ns, lambda lo, hi, n: np.sum(terms[lo:hi, : n - 1], axis=-1)),)
 
 
 def _em_value(s: np.ndarray, n: np.ndarray, bound: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +335,9 @@ def _strip_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
     eta_value, eta_err = _eta_value(s, *plan_and_sums)
     factor = 1.0 - cmath.exp((1.0 - s) * LN2)
     value = eta_value / factor
-    err = (eta_err + 4.0 * _EPS * abs(eta_value)) / abs(factor) + 4.0 * _EPS * abs(value)
+    err = (eta_err + 4.0 * _EPS * abs(eta_value)) / abs(factor)
+    # rounding of the quotient, and of 1 - 2^(1-s), which cancels near s = 1 and its other zeros
+    err += 4.0 * _EPS * abs(value) * (1.0 + abs(1.0 - factor) / abs(factor))
     return value, err
 
 

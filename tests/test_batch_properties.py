@@ -1,6 +1,7 @@
 """Property test: eta_many and zeta_many on batches whose points share
-heights and real parts, where one cos/sin row serves several points, equal
-the scalar calls bit for bit."""
+heights and real parts, where one cos/sin row serves several points, and on
+batches spread over many term counts, where one kernel call serves several,
+equal the scalar calls bit for bit."""
 
 import pytest
 
@@ -29,7 +30,7 @@ def structured_batches(draw) -> list[complex]:
     heights = draw(st.lists(HEIGHTS, min_size=1, max_size=4))
     reals = draw(st.lists(REALS, min_size=1, max_size=4))
     grid = [complex(a, b) for b in heights for a in reals]
-    shape = draw(st.sampled_from(["rows", "columns", "square", "repeats", "conjugates"]))
+    shape = draw(st.sampled_from(["rows", "columns", "square", "repeats", "conjugates", "spread"]))
     if shape == "rows":
         return grid
     if shape == "columns":
@@ -38,6 +39,11 @@ def structured_batches(draw) -> list[complex]:
         a, b = reals[0], heights[0]
         side = draw(st.sampled_from([0.2, 1.0]))
         return _boundary_waypoints(Rect(a, a + side, b, b + side), 64)
+    if shape == "spread":
+        # strip and Euler-Maclaurin points up to eta's height limit: term counts
+        # from 8 to about 340, several of them, and a 9/8 cut, in one block
+        point = st.builds(complex, st.floats(1e-3, 4.0), st.floats(0.0, 446.0))
+        return draw(st.lists(point, min_size=16, max_size=64))
     if shape == "repeats":
         return draw(st.lists(st.sampled_from(grid), min_size=1, max_size=40))
     return grid + [s.conjugate() for s in grid]

@@ -44,9 +44,25 @@ def _disk(centre):
     return sample
 
 
+def _annulus(centre):
+    """A point 5e-7 to 1e-2 from centre(rng), log-uniform in the distance:
+    outside the disk of the direct series, where the strip quotient runs."""
+
+    def sample(rng):
+        radius = 10.0 ** rng.uniform(math.log10(5e-7), -2.0)
+        return centre(rng) + radius * complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+    return sample
+
+
 def _factor_zero(rng):
     k = int(rng.integers(1, 46)) * int(rng.choice([-1, 1]))
     return complex(1.0, k * FACTOR_ZERO_SPACING)
+
+
+def _near_factor_zero(rng):
+    """The zero 1 + 2 pi i k / ln 2 of (1 - 2^(1-s)) for k = +-1, +-2 or +-20."""
+    return complex(1.0, int(rng.choice([-20, -2, -1, 1, 2, 20])) * FACTOR_ZERO_SPACING)
 
 
 def _box(re, im):
@@ -78,6 +94,8 @@ TABLE = [
     ("em-at-max", zeta, lambda rng: complex(rng.uniform(1.5, 40.0), MAX_HEIGHT), 2, "direct-series"),
     ("factor-zero-disks", zeta, _disk(_factor_zero), 90, "direct-series"),
     ("pole-disk", zeta, _disk(lambda rng: 1.0), 40, "direct-series"),
+    ("pole-annulus", zeta, _annulus(lambda rng: 1.0), 40, "accelerated-eta"),
+    ("factor-zero-annuli", zeta, _annulus(_near_factor_zero), 60, "accelerated-eta"),
     ("gamma-lanczos", gamma, _gamma_contract(True), 150, None),
     ("gamma-reflected", gamma, _gamma_contract(False), 150, None),
     ("gamma-far", gamma, _gamma_far, 150, None),

@@ -17,7 +17,7 @@ from zetalab import (
     multiplicity,
     zeta,
 )
-from zetalab import zeros
+from zetalab import zeros, zeta_eval
 from zetalab.errors import (
     BoundaryTooCloseToZero,
     DomainError,
@@ -255,15 +255,44 @@ def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
 
     monkeypatch.setattr(zeros, "_eta_pairs", counting_eta_pairs)
     records = find_critical_zeros(100.0, 110.0, 0.01)
-    # the scan: every 20th of the 1001 grid points plus the last, then the 19
-    # interior points of each cell that holds a zero
+    # the scan: every 20th of the 1001 grid points plus the last, then 4 or 5
+    # halvings of each 20-step cell that holds a zero, down to adjacent points
     grid = set((100.0 + 0.01 * np.arange(1001.0)).tolist())
     scan = [z for z in seen if z.imag in grid]
     assert len(records) == 4
-    assert len(scan) == 51 + 19 * len(records)
+    assert 51 + 4 * len(records) <= len(scan) <= 51 + 5 * len(records)
     # the bisection: 27 halvings take each 0.01 bracket below 1e-10, and one
     # more point gates its midpoint; these all lie between grid points
     assert len(seen) - len(scan) == (27 + 1) * len(records)
+
+
+def test_bisection_rounds_share_kernel_calls_across_term_counts(monkeypatch):
+    # the brackets of a 150-unit window have term counts from about 116 to 251;
+    # each block of 16 spans at most two kernel blocks, whose largest n is
+    # at most 9/8 of their smallest
+    grid = set((105.0 + 0.01 * np.arange(15001.0)).tolist())
+    kernel_calls = [0]
+    rounds = []
+
+    def counting_kernel(s, ns):
+        kernel_calls[0] += 1
+        return eta_kernel(s, ns)
+
+    def recording_z_signs(ts):
+        before = kernel_calls[0]
+        signs = z_signs(ts)
+        rounds.append((len(ts), kernel_calls[0] - before, grid.isdisjoint(ts.tolist())))
+        return signs
+
+    eta_kernel, z_signs = zeta_eval._eta_kernel, zeros._z_signs
+    monkeypatch.setattr(zeta_eval, "_eta_kernel", counting_kernel)
+    monkeypatch.setattr(zeros, "_z_signs", recording_z_signs)
+    records = find_critical_zeros(105.0, 255.0, 0.01)
+    bisection = [(brackets, calls) for brackets, calls, off_grid in rounds if off_grid]
+    assert len(bisection) == 27
+    for brackets, calls in bisection:
+        assert brackets >= len(records) > 70
+        assert calls <= 2 * math.ceil(brackets / 16)
 
 
 def test_census_evaluates_each_waypoint_once(monkeypatch):
