@@ -13,7 +13,7 @@ from .reporting import VERSION as __version__
 from .reporting import CheckResult, RunConfig, emit_report
 from .specfun import EvalResult, gamma, half_cos
 from .zeros import Rect, ZeroRecord, check_line_zeros, count_zeros_rect, find_critical_zeros, multiplicity
-from .zeta_eval import eta, eta_many, zeta, zeta_floor_integral, zeta_many, zeta_reflect
+from .zeta_eval import eta, eta_many, zeta, zeta_many, zeta_reflect
 
 __all__ = [
     "ArithTable",
@@ -45,7 +45,6 @@ __all__ = [
     "run_check",
     "theta",
     "zeta",
-    "zeta_floor_integral",
     "zeta_many",
     "zeta_reflect",
 ]

@@ -87,12 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results = [run_check(check_id, cfg) for check_id in ids]
     else:
         results = run_all(cfg)
-    payload = emit_report(results, args.report, seed=seed)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(payload.decode("utf-8"))
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+    _write_out(emit_report(results, args.report, seed=seed).decode("utf-8"), args.out)
     return 0 if all_assertions_pass(results) else 1
 
 

@@ -25,7 +25,7 @@ from .reflect import classify_nu, kappa, _kappa_from_eta, nu
 from .reporting import CheckResult, RunConfig
 from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, eta_many, zeta, zeta_floor_integral
+from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, eta_many, zeta
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
@@ -152,13 +152,7 @@ def _check_zero_reflection(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 def _check_pole(cfg: RunConfig, rng) -> tuple[float, int, str]:
     pts = [1.0 + 1e-5, 1.0 + 1e-6, complex(1.0, 1e-5), complex(1.0, 1e-6)]
-    worst = 0.0
-    for s in pts:
-        if s.real > 1.0:
-            val = zeta_floor_integral(s).value
-        else:
-            val = zeta(s).value
-        worst = max(worst, abs((s - 1.0) * val - 1.0))
+    worst = max(abs((s - 1.0) * _ok(z)[0] - 1.0) for s, z in zip(pts, _zeta_pairs(pts)))
     return worst, len(pts), "(s-1) * zeta(s) -> 1 approaching the simple pole"
 
 

@@ -22,7 +22,6 @@ METHODS = frozenset(
         "direct-series",
         "accelerated-eta",
         "functional-equation",
-        "quadrature",
         "rational-approx",
     }
 )
@@ -35,6 +34,7 @@ HALF_COS_IM_MAX = 700.0 / math.pi
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
+LN_PI = math.log(math.pi)
 _SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
@@ -210,7 +210,7 @@ def _stirling_log_abs_gamma(s: complex) -> float:
         _, sin_re = _cos_sin_pi_half(2.0 * math.fmod(s.real, 2.0))
         y = math.pi * abs(s.imag)
         log_sin = y + math.log(math.hypot(math.exp(-y) * sin_re, -0.5 * math.expm1(-2.0 * y)))
-        return math.log(math.pi) - log_sin - _stirling_log_abs_gamma(1.0 - s)
+        return LN_PI - log_sin - _stirling_log_abs_gamma(1.0 - s)
     # cmath.log(s).real is ln|s| also where abs(s) overflows
     return (s.real - 0.5) * cmath.log(s).real - s.imag * math.atan2(s.imag, s.real) - s.real + 0.5 * LOG_TWO_PI
 

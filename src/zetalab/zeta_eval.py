@@ -1,6 +1,4 @@
-"""Evaluation of zeta(s) and eta(s) everywhere via region dispatch, plus
-the floor integral, a second route for Re(s) > 1 that the P9_POLE check
-takes next to the pole.
+"""Evaluation of zeta(s) and eta(s) everywhere via region dispatch.
 
 Dispatch:
     Re(s) > 1.5   direct series with an Euler-Maclaurin tail
@@ -24,20 +22,18 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, ZetaLabError
-from .specfun import EvalResult, _gamma_pair, _rgamma
+from .specfun import LN_PI, EvalResult, _gamma_pair, _rgamma
 
 __all__ = [
     "zeta",
     "eta",
     "zeta_many",
     "eta_many",
-    "zeta_floor_integral",
     "zeta_reflect",
 ]
 
 _EPS = 2.220446049250313e-16
 LN2 = math.log(2.0)
-LN_PI = math.log(math.pi)
 _HALF_PI = 0.5 * math.pi
 
 #: zeros of (1 - 2^(1-s)) sit at 1 + 2*pi*k*i/ln 2; spacing of consecutive ones.
@@ -52,9 +48,6 @@ MAX_HEIGHT = 1e5
 #: absolute error the eta and Euler-Maclaurin series are sized for.
 _TARGET_ABS_ERR = 1e-12
 _LN_HALF_TARGET = math.log(0.5 * _TARGET_ABS_ERR)
-#: absolute tolerance of zeta_floor_integral, and its cap on segments.
-_FLOOR_TOL = 1e-10
-_FLOOR_MAX_SEGMENTS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -459,51 +452,12 @@ def zeta_reflect(s: complex) -> EvalResult:
 
     used to continue zeta to Re(s) < 0 and as a residual check elsewhere.
     The denominator Gamma is applied as a reciprocal, so its poles become
-    exact zeros of the result. It raises where zeta does on entry: DomainError
-    for a non-finite s or |Im s| > MAX_HEIGHT, PoleAtOne within 1e-12 of 1.
+    exact zeros of the result. Within 1e-12 of 0, where zeta(1-s) has its
+    pole, it returns zeta(0) = -1/2 as zeta does. It raises where zeta does on
+    entry: DomainError for a non-finite s or |Im s| > MAX_HEIGHT, PoleAtOne
+    within 1e-12 of 1.
     """
     s = complex(s)
     _check_entry(s, "zeta_reflect")
-    return EvalResult(*_ok(*_zeta_values([s], ["reflect"], "zeta_reflect")), "functional-equation")
-
-
-# ---------------------------------------------------------------------------
-# Reference route for Re(s) > 1.
-# ---------------------------------------------------------------------------
-
-
-def zeta_floor_integral(s: complex) -> EvalResult:
-    """zeta via  s/(s-1) - s * integral_1^inf {x} x^(-s-1) dx,  Re(s) > 1.
-
-    The fractional-part integral is evaluated in closed form on every
-    segment [n, n+1]; the tail beyond N is replaced by its mean value
-    N^(-s)/(2s) with a rigorous bound on the oscillatory remainder.
-
-    Raises:
-        DomainError: when Re(s) <= 1 or s is not finite.
-    """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"zeta_floor_integral requires a finite argument, got {s}")
-    sigma = s.real
-    if sigma <= 1.0:
-        raise DomainError(f"zeta_floor_integral requires Re(s) > 1, got {s}")
-
-    def tail_bound(n: float) -> float:
-        return n ** (-sigma - 1.0) / 8.0 * (1.0 + abs(s + 1.0) / (sigma + 1.0))
-
-    n_seg = 16
-    while tail_bound(n_seg) > 0.5 * _FLOOR_TOL / max(abs(s), 1.0) and n_seg < _FLOOR_MAX_SEGMENTS:
-        n_seg *= 2
-    n_seg = min(n_seg, _FLOOR_MAX_SEGMENTS)
-
-    m = np.arange(1.0, n_seg + 1.0)
-    pw = np.exp(-s * np.log(m))  # m^(-s)
-    a_pow = pw[:-1]  # n^(-s)
-    b_pow = pw[1:]  # (n+1)^(-s)
-    n_arr = m[:-1]
-    seg = ((n_arr + 1.0) * b_pow - n_arr * a_pow) / (1.0 - s) - n_arr * (a_pow - b_pow) / s
-    integral = complex(np.sum(seg)) + pw[-1] / (2.0 * s)
-    value = s / (s - 1.0) - s * integral
-    err = abs(s) * (tail_bound(n_seg) + 2e-14 / (sigma - 0.99)) + 8.0 * _EPS * abs(value)
-    return EvalResult(value, err, "quadrature")
+    route = "origin" if abs(s) < 1e-12 else "reflect"
+    return EvalResult(*_ok(*_zeta_values([s], [route], "zeta_reflect")), "functional-equation")

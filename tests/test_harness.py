@@ -115,6 +115,14 @@ def test_emit_csv_schema():
     assert lines[1] == "X,pass,0.5,1.0,3"
 
 
+def test_every_residual_is_a_python_float_and_its_csv_cell_parses():
+    results = run_all(RunConfig(seed=1))
+    assert [r.id for r in results if type(r.worst_residual) is not float] == []
+    rows = emit_report(results, "csv").decode().splitlines()[1:]
+    for row in rows:
+        float(row.split(",")[2])
+
+
 def test_emit_text_aligned():
     results = [
         CheckResult("SHORT", "pass", 0.0, 1.0, 1, "a", 0),

@@ -96,6 +96,8 @@ TABLE = [
     ("pole-disk", zeta, _disk(lambda rng: 1.0), 40, "direct-series"),
     ("pole-annulus", zeta, _annulus(lambda rng: 1.0), 40, "accelerated-eta"),
     ("factor-zero-annuli", zeta, _annulus(_near_factor_zero), 60, "accelerated-eta"),
+    # both sides of the Re s = 1.5 switch between the strip and the direct series
+    ("right-of-strip-low", zeta, _box((1.001, 3.0), (-20.0, 20.0)), 100, None),
     ("gamma-lanczos", gamma, _gamma_contract(True), 150, None),
     ("gamma-reflected", gamma, _gamma_contract(False), 150, None),
     ("gamma-far", gamma, _gamma_far, 150, None),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zetalab import (
+    EvalResult,
     conj_ratio,
     eta,
     gamma,
@@ -16,7 +17,6 @@ from zetalab import (
     nu,
     theta,
     zeta,
-    zeta_floor_integral,
     zeta_reflect,
 )
 from zetalab.arith import cached_table
@@ -132,30 +132,6 @@ def test_eta_committed_error_bound(s):
     assert abs(e.value - eta_avg_oracle(s)) <= e.abs_err_est
 
 
-def test_floor_integral_at_two():
-    assert abs(zeta_floor_integral(2.0).value - PI2_OVER_6) < 1e-8
-
-
-def test_floor_integral_pole_residual():
-    s = 1.0 + 1e-6
-    assert abs((s - 1.0) * zeta_floor_integral(s).value - 1.0) < 1e-4
-
-
-def test_floor_integral_magnitude_bound():
-    # |integral_1^inf {x} x^(-s-1) dx| < (1/a) sum (n^-a - (n+1)^-a) = 1/a at a=1.5
-    s = 1.5 + 3.0j
-    res = zeta_floor_integral(s)
-    integral = (s / (s - 1.0) - res.value) / s
-    assert abs(integral) < 2.0 / 3.0
-
-
-def test_floor_integral_domain():
-    with pytest.raises(DomainError):
-        zeta_floor_integral(1.0 + 3.0j)
-    with pytest.raises(DomainError):
-        zeta_floor_integral(0.5)
-
-
 def test_pole_weight_near_one():
     # Re[eps * zeta'/zeta(1+eps)] -> -1; derivative by Richardson-combined
     # central differences.
@@ -179,13 +155,10 @@ def test_reflect_trivial_zero_exact():
     assert zeta_reflect(-2.0).value == 0.0
 
 
-def test_route_agreement_floor_integral():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        s = complex(rng.uniform(1.0 + 1e-3, 3.0), rng.uniform(-20, 20))
-        z = zeta(s)
-        f = zeta_floor_integral(s)
-        assert abs(z.value - f.value) < 1e-6
+@pytest.mark.parametrize("s", [0.0, 1e-13])
+def test_reflect_at_the_origin_returns_zeta_of_zero(s):
+    # Gamma((1-s)/2) / Gamma(s/2) * zeta(1-s) has a removable singularity at 0
+    assert zeta_reflect(s) == zeta(0.0) == EvalResult(-0.5 + 0j, 1e-12, "functional-equation")
 
 
 def test_conjugate_symmetry_all_regions():
@@ -214,13 +187,6 @@ def test_euler_lower_bound_random_points():
         s = complex(alpha, rng.uniform(0.0, 30.0))
         lower = math.exp(-float(np.sum(np.exp(-alpha * log_p))))
         assert abs(zeta(s).value) >= lower
-
-
-def test_dual_route_error_budgets():
-    for s in [2.0 + 5.0j, 1.7 - 12.0j, 3.5 + 0.3j]:
-        z = zeta(s)
-        f = zeta_floor_integral(s)
-        assert abs(z.value - f.value) <= z.abs_err_est + f.abs_err_est
 
 
 def test_large_height_raises_typed_errors():
@@ -458,11 +424,10 @@ def test_non_finite_input_raises_domain_error(s):
         half_cos,
         theta,
         lambda s: conj_ratio(s.real, s.imag),
-        zeta_floor_integral,
         nu,
         kappa,
     ],
-    ids=["half_cos", "theta", "conj_ratio", "zeta_floor_integral", "nu", "kappa"],
+    ids=["half_cos", "theta", "conj_ratio", "nu", "kappa"],
 )
 def test_non_finite_input_to_the_other_routes_raises_domain_error(f, s):
     with pytest.raises(DomainError, match="finite"):
