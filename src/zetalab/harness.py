@@ -45,16 +45,13 @@ def _sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-
     """Seeded points in the box with |zeta| above min_abs_zeta (zero
     neighborhoods excluded by resampling) and both half-planes of Im."""
     pts = []
-    while len(pts) < n:
-        re = rng.uniform(re_lo, re_hi)
-        im = rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        s = complex(re, im)
-        try:
-            if abs(zeta(s).value) < min_abs_zeta:
-                continue
-        except ZetaLabError:
-            continue
-        pts.append(s)
+    while len(pts) < n:  # as many candidates as are still missing, gated in one batch
+        candidates = [
+            complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0))
+            for _ in range(n - len(pts))
+        ]
+        pairs = _zeta_pairs(candidates)
+        pts += [s for s, v in zip(candidates, pairs) if not isinstance(v, ZetaLabError) and abs(v[0]) >= min_abs_zeta]
     return pts
 
 

@@ -117,21 +117,16 @@ def theta(s: complex) -> EvalResult:
         raise DomainError(f"theta requires a finite argument, got {s}")
     if _factor_zero_distance(s) < 1e-9:
         raise DenominatorZero(f"theta denominator vanishes near {s}")
-    try:
-        num = 1.0 - cmath.exp((1.0 - 2.0 * s) * LN2)
-        den = 1.0 - cmath.exp((1.0 - s) * LN2)
-        value = num / den
-        # rounding, plus eps |exponent| relative in each power 1 - num = 2^(1-2s), 1 - den = 2^(1-s)
-        err = 4.0 * _EPS * (abs(value) + (1.0 + abs(num)) / abs(den)) + _EPS * LN2 * (
-            abs(1.0 - 2.0 * s) * abs((1.0 - num) / den) + abs(1.0 - s) * abs(value * ((1.0 - den) / den))
-        )
-    except OverflowError:  # 4^-s overflows from Re s of about -511, where |2^-s| >= 2^511
-        try:  # theta = 2^-s + 1/2 - 1/(2 (2^(1-s) - 1)); the bound carries the rounding of -s ln 2
-            x = cmath.exp(-s * LN2)
-            value = x + 0.5 - 0.25 / (x - 0.5)
-            err = abs(value) * _EPS * (2.0 * abs(s) * LN2 + 8.0)
-        except OverflowError:  # and 2^-s from Re s of about -1024
-            value, err = complex(math.inf), math.inf
+    try:  # theta = x + 1/2 + 1/(2d), with x = 2^-s and d = 1 - 2x
+        x = cmath.exp(-s * LN2)
+        d = 1.0 - 2.0 * x
+        value = x + 0.5 + 0.5 / d
+        # x carries eps (|s| ln 2 + 2) relative from -s ln 2 and the exp, and
+        # theta moves by (1 + 1/d^2) times it; plus the rounding of the sum
+        err = _EPS * (abs(s) * LN2 + 2.0) * (abs(x) + abs(x) / abs(d) / abs(d))
+        err += 4.0 * _EPS * abs(value) + 4.0 * _EPS * (abs(x) + 1.0 / abs(d))
+    except OverflowError:  # 2^-s from Re s of about -1024, and |s| near the top of the floating range
+        value, err = complex(math.inf), math.inf
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise Overflow(f"theta({s}) or its bound exceeds the floating range")
     return EvalResult(value, err, "rational-approx")

@@ -9,7 +9,6 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -44,9 +43,6 @@ _MAX_CENSUS_TERMS = 1e9
 #: width of the coarse cells of the critical-line scan; below eta's height
 #: limit the closest zeros lie 0.4364 apart, so no cell holds two of them.
 _COARSE_CELL = 0.2
-#: points per batch call. On a 150-unit critline window, 32 and 64 ran the
-#: finder and its census no faster than 16, and added 0.1-0.3 MB to peak RSS.
-_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -111,19 +107,6 @@ class ZeroRecord:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _blocks(pairs, points):
-    """pairs(block) for _BLOCK points per call, chained in point order."""
-    points = iter(points)
-    while block := list(islice(points, _BLOCK)):
-        yield from pairs(block)
-
-
-def _values(pairs, points):
-    """Values of pairs(block), _BLOCK points per call, in point order;
-    raises the first ZetaLabError where a scalar loop over points would."""
-    return (_ok(pair)[0] for pair in _blocks(pairs, points))
-
-
 def _above_floor(z: complex, val: complex) -> complex:
     if abs(val) < _BOUNDARY_ZETA_FLOOR:
         raise BoundaryTooCloseToZero(f"|zeta| = {abs(val):.2e} at boundary point {z}; zero too close")
@@ -172,9 +155,10 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
     Each edge takes at least samples_per_edge samples, and more at height:
     adjacent samples lie at most (pi/2) / ln(T / 2 pi) apart, T the edge's
     largest |Im s|, since zeta's argument turns about ln(T / 2 pi) per unit
-    of height there. Edges are then refined adaptively until consecutive
-    argument increments stay below pi/2. The floor on |zeta| applies to
-    zeta itself, and within 1e-12 of s = 1 the product takes its limit 1.
+    of height there. The samples are evaluated in boundary order, and then
+    every segment whose argument increment exceeds pi/2 is halved, round by
+    round, each round's midpoints in one batch. The floor on |zeta| applies
+    to zeta itself, and within 1e-12 of s = 1 the product takes its limit 1.
 
     Args:
         r: the rectangle; its boundary must clear every zero by 1e-6.
@@ -213,37 +197,26 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
             f"count_zeros_rect would take an estimated {terms:.3g} series terms, over its cap {_MAX_CENSUS_TERMS:g}"
         )
     waypoints = _boundary_waypoints(r, samples_per_edge)
-
-    # evaluated in order of height, so that the two vertical edges, whose
-    # heights coincide, share their cos/sin rows; checked in waypoint order.
-    # The loop closes on waypoints[0], whose value is already known.
-    order = sorted(range(len(waypoints) - 1), key=lambda i: waypoints[i].imag)
-    pairs = [None] * len(order)
-    for i, pair in zip(order, _blocks(_zeta_pairs, (waypoints[i] for i in order))):
-        pairs[i] = pair
-    values = [_pole_free(z, lambda: _ok(pair)[0]) for z, pair in zip(waypoints, pairs)]
+    # the loop closes on waypoints[0], whose value is already known
+    values = [_pole_free(z, lambda: _ok(pair)[0]) for z, pair in zip(waypoints, _zeta_pairs(waypoints[:-1]))]
     values.append(values[0])
 
+    segments = list(zip(waypoints, waypoints[1:], values, values[1:]))
     total = 0.0
-    budget = [400_000]
-
-    def accumulate(z1, z2, f1, f2, depth) -> float:
-        inc = cmath.phase(f2 / f1)
-        if abs(inc) <= 0.5 * math.pi:
-            return inc
-        if depth >= _MAX_SUBDIVISION_DEPTH:
-            raise BoundaryTooCloseToZero(
-                f"cannot resolve argument change near {z1}; suspected singularity"
-            )
-        budget[0] -= 1
-        if budget[0] <= 0:
+    budget = 400_000
+    for depth in range(_MAX_SUBDIVISION_DEPTH + 1):
+        incs = [cmath.phase(f2 / f1) for _, _, f1, f2 in segments]
+        total += sum(inc for inc in incs if abs(inc) <= 0.5 * math.pi)
+        if not (wide := [seg for seg, inc in zip(segments, incs) if abs(inc) > 0.5 * math.pi]):
+            break
+        if depth == _MAX_SUBDIVISION_DEPTH:
+            raise BoundaryTooCloseToZero(f"cannot resolve argument change near {wide[0][0]}; suspected singularity")
+        budget -= len(wide)
+        if budget <= 0:
             raise BoundaryTooCloseToZero("winding refinement budget exhausted")
-        zm = 0.5 * (z1 + z2)
-        fm = _pole_free(zm, lambda: zeta(zm).value)
-        return accumulate(z1, zm, f1, fm, depth + 1) + accumulate(zm, z2, fm, f2, depth + 1)
-
-    for i in range(len(waypoints) - 1):
-        total += accumulate(waypoints[i], waypoints[i + 1], values[i], values[i + 1], 0)
+        zms = [0.5 * (z1 + z2) for z1, z2, _, _ in wide]
+        fms = [_pole_free(zm, lambda: _ok(pair)[0]) for zm, pair in zip(zms, _zeta_pairs(zms))]
+        segments = [s for (z1, z2, f1, f2), zm, fm in zip(wide, zms, fms) for s in ((z1, zm, f1, fm), (zm, z2, fm, f2))]
 
     winding = total / (2.0 * math.pi)
     nearest = round(winding)
@@ -278,7 +251,7 @@ def _hardy_z(t: float, eta_value: complex, eta_err: float) -> tuple[float, float
 
 def _z_signs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether Z(t) < 0, and whether |Z(t)| exceeds its bound, at each t of ts."""
-    etas = _blocks(_eta_pairs, (complex(0.5, t) for t in ts))
+    etas = _eta_pairs([complex(0.5, t) for t in ts])
     z, bound = np.fromiter((_hardy_z(t, *_ok(pair)) for t, pair in zip(map(float, ts), etas)), (float, 2), len(ts)).T
     return z < 0.0, np.abs(z) > bound
 
@@ -353,7 +326,7 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
         a[open_] = np.where(to_left, m, a[open_])
         b[open_] = np.where(to_left, b[open_], m)
     t_stars = (0.5 * (a + b)).tolist()
-    g_stars = map(abs, _values(_eta_pairs, (complex(0.5, t) for t in t_stars)))
+    g_stars = [abs(_ok(pair)[0]) for pair in _eta_pairs([complex(0.5, t) for t in t_stars])]
     # |eta| >= 1e-8: the series error of theta flipped the sign, not a zero;
     # t > t_max: the last grid point lies past t_max
     kept = [(complex(0.5, t), g, p) for t, g, p in zip(t_stars, g_stars, proven) if g < 1e-8 and t <= t_max]
@@ -424,7 +397,7 @@ def check_line_zeros(line_re: float, t_max: float) -> tuple[float, int, str]:
         raise ValueError("t_max must be <= 50")
 
     ts = np.arange(0.002, t_max, 0.05)
-    mags = np.array([abs(v) for v in _values(_zeta_pairs, (complex(line_re, t) for t in ts))])
+    mags = np.array([abs(_ok(pair)[0]) for pair in _zeta_pairs([complex(line_re, t) for t in ts])])
     min_idx = int(np.argmin(mags))
     observed_min = float(mags[min_idx])
     residual = max(0.0, 1e-3 - observed_min)

@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from zetalab import REGISTRY, Rect, RunConfig, emit_report, grid_scan, run_all, run_check
-from zetalab.errors import UnknownCheckId
-from zetalab.harness import all_assertions_pass
+from zetalab import REGISTRY, Rect, RunConfig, emit_report, grid_scan, run_all, run_check, zeta
+from zetalab.errors import UnknownCheckId, ZetaLabError
+from zetalab.harness import _sample_away_from_zeros, all_assertions_pass
 from zetalab.reporting import CheckResult, strip_durations
 
 EXPECTED_IDS = [
@@ -261,3 +262,38 @@ def test_series_checks_do_not_depend_on_order():
             inside[check_id].details,
         )
     assert _cube_series.cache_info().misses == 1
+
+
+def _scalar_sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-3):
+    """The sampler as a loop of one-point zeta calls, one candidate at a time."""
+    pts = []
+    while len(pts) < n:
+        re = rng.uniform(re_lo, re_hi)
+        im = rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        s = complex(re, im)
+        try:
+            if abs(zeta(s).value) < min_abs_zeta:
+                continue
+        except ZetaLabError:
+            continue
+        pts.append(s)
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "box, min_abs_zeta",
+    [
+        ((0.05, 0.95, 0.5, 30.0), 1e-3),
+        # about a quarter of the candidates rejected, so more rounds of resampling
+        ((0.05, 0.95, 0.5, 30.0), 0.8),
+        # candidates above eta's height limit (about 446.2) raise and are rejected
+        ((0.05, 0.95, 400.0, 500.0), 1e-3),
+    ],
+    ids=["P2-box", "strict-gate", "past-height-limit"],
+)
+def test_sampler_matches_the_scalar_loop(seed, box, min_abs_zeta):
+    batched_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = _sample_away_from_zeros(batched_rng, 40, *box, min_abs_zeta)
+    assert batched == _scalar_sample_away_from_zeros(scalar_rng, 40, *box, min_abs_zeta)
+    assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state

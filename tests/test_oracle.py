@@ -106,7 +106,7 @@ TABLE = [
     ("kappa", kappa, _box((0.26, 3.0), (-100.0, 100.0)), 60, None),
     ("theta-strip", theta, _box((-20.0, 20.0), (-50.0, 50.0)), 100, None),
     ("theta-left", theta, _box((-1020.0, -1.0), (-50.0, 50.0)), 100, None),
-    # where 4^-s nears the floating range, and the closed form through 2^-s takes over
+    # where 4^-s leaves the floating range; theta's closed form takes 2^-s alone, and stays finite there
     ("theta-switch", theta, _box((-512.0, -505.0), (-50.0, 50.0)), 50, None),
     ("theta-high", theta, _box((0.0, 5.0), (1e3, 1e4)), 100, None),
 ]

@@ -268,8 +268,8 @@ def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
 
 def test_bisection_rounds_share_kernel_calls_across_term_counts(monkeypatch):
     # the brackets of a 150-unit window have term counts from about 116 to 251;
-    # each block of 16 spans at most two kernel blocks, whose largest n is
-    # at most 9/8 of their smallest
+    # a round's kernel blocks have a largest n at most 9/8 of their smallest,
+    # so about seven of them serve the whole round
     grid = set((105.0 + 0.01 * np.arange(15001.0)).tolist())
     kernel_calls = [0]
     rounds = []
@@ -295,6 +295,14 @@ def test_bisection_rounds_share_kernel_calls_across_term_counts(monkeypatch):
         assert calls <= 2 * math.ceil(brackets / 16)
 
 
+def _assert_midpoints_of_earlier(points, n_waypoints):
+    """Every point after the first n_waypoints is the midpoint of two points
+    evaluated before it."""
+    for k in range(n_waypoints, len(points)):
+        earlier = points[:k]
+        assert any(0.5 * (a + b) == points[k] for a in earlier for b in earlier), points[k]
+
+
 def test_census_evaluates_each_waypoint_once(monkeypatch):
     seen = []
 
@@ -303,13 +311,54 @@ def test_census_evaluates_each_waypoint_once(monkeypatch):
         return _zeta_pairs(points)
 
     monkeypatch.setattr(zeros, "_zeta_pairs", counting_zeta_pairs)
-    r = Rect(0.4, 0.6, 14.0, 14.2)
+    # the left edge passes 1e-4 from the zero 1/2 + 14.1347i, which takes
+    # several rounds of halving
+    r = Rect(0.4999, 0.6, 14.0, 14.2)
     assert count_zeros_rect(r, 64) == 1
     # the closing waypoint repeats the first and reuses its value; the others
-    # are evaluated in order of height, so the vertical edges share cos/sin rows
+    # are evaluated once each, in boundary order, before any midpoint
     waypoints = zeros._boundary_waypoints(r, 64)
     assert waypoints[-1] == waypoints[0]
-    assert seen == sorted(waypoints[:-1], key=lambda z: z.imag)
+    assert len(set(waypoints[:-1])) == len(waypoints) - 1
+    assert seen[: len(waypoints) - 1] == waypoints[:-1]
+    assert len(seen) > len(waypoints) - 1
+    _assert_midpoints_of_earlier(seen, len(waypoints) - 1)
+
+
+def test_census_refines_without_scalar_zeta(monkeypatch):
+    rounds = []
+
+    def counting_zeta_pairs(points):
+        rounds.append(len(points))
+        return _zeta_pairs(points)
+
+    def no_scalar_zeta(s):
+        raise AssertionError("the census called the scalar zeta")
+
+    monkeypatch.setattr(zeros, "_zeta_pairs", counting_zeta_pairs)
+    monkeypatch.setattr(zeros, "zeta", no_scalar_zeta)
+    # 13 zeros lie between heights 10 and 60 (mpmath zetazero)
+    assert count_zeros_rect(Rect(0.0, 1.0, 10.0, 60.0), 64) == 13
+    assert len(rounds) > 1 and sum(rounds[1:]) > 0
+
+
+@pytest.mark.parametrize(
+    "sign, samples, message",
+    [
+        # a jump of pi on each vertical edge: the segment that holds it is
+        # still wide after 48 halvings, and the first in boundary order is named
+        (lambda z: 1.0 if z.imag < 14.051 else -1.0, 64, r"cannot resolve argument change near \(0\.6\+14\.05"),
+        # a sign that flips every 1e-6: half of the 32,000 segments hold an odd
+        # number of flips and stay wide, so the halvings outgrow the budget of
+        # 400,000 midpoints before they reach depth 48
+        (lambda z: (-1.0) ** math.floor(1e6 * (z.real + z.imag)), 8000, "winding refinement budget exhausted"),
+    ],
+    ids=["depth", "budget"],
+)
+def test_census_refinement_limits(monkeypatch, sign, samples, message):
+    monkeypatch.setattr(zeros, "_zeta_pairs", lambda points: [(sign(z), 0.0) for z in points])
+    with pytest.raises(BoundaryTooCloseToZero, match=message):
+        count_zeros_rect(Rect(0.4, 0.6, 14.0, 14.2), samples)
 
 
 @pytest.mark.parametrize("t_max", [20.0, 40.0])
@@ -434,15 +483,18 @@ def test_find_critical_zeros_batched_matches_scalar(monkeypatch, t_min, t_max):
 
 
 @pytest.mark.parametrize(
-    "rect", [Rect(0.0, 1.0, 0.0, 30.0), Rect(-3.0, 2.0, -5.0, 5.0), Rect(1.0, 2.0, 0.0, 1.0)]
+    "rect",
+    [Rect(0.0, 1.0, 0.0, 30.0), Rect(-3.0, 2.0, -5.0, 5.0), Rect(1.0, 2.0, 0.0, 1.0), Rect(0.4999, 0.6, 14.0, 14.2)],
 )
 def test_census_batched_matches_scalar(monkeypatch, rect):
-    # the last rectangle has the pole s = 1 at a corner, a waypoint where
-    # zeta raises and (s - 1) zeta(s) takes its limit 1
+    # the third rectangle has the pole s = 1 at a corner, a waypoint where
+    # zeta raises and (s - 1) zeta(s) takes its limit 1; the last one refines
     batched = count_zeros_rect(rect)
     scalar_points = _use_scalar_calls(monkeypatch)
     assert count_zeros_rect(rect) == batched
-    assert scalar_points == sorted(zeros._boundary_waypoints(rect, 256)[:-1], key=lambda z: z.imag)
+    waypoints = zeros._boundary_waypoints(rect, 256)[:-1]
+    assert scalar_points[: len(waypoints)] == waypoints
+    _assert_midpoints_of_earlier(scalar_points, len(waypoints))
 
 
 @pytest.mark.parametrize("line_re", [0, 1])
@@ -482,15 +534,18 @@ def test_census_errors_match_the_scalar_loop():
 
 
 @pytest.mark.parametrize("first, second", [(3, 5), (5, 3)])
-def test_first_failure_in_point_order_wins(first, second):
-    # a value under the boundary floor at one point, an evaluator error at
-    # the other, both in one block: whichever comes first is raised
-    points = [complex(0.5, k) for k in range(20)]
+def test_first_failure_in_point_order_wins(monkeypatch, first, second):
+    # a value under the boundary floor at one waypoint, an evaluator error at
+    # the other, both in the census's one call: whichever comes first is raised
+    r = Rect(0.4, 0.6, 14.0, 14.2)
+    index = {z: k for k, z in enumerate(zeros._boundary_waypoints(r, 64)[:-1])}
+    calls = []
 
-    def many(block):
+    def many(points):
+        calls.append(len(points))
         out = []
-        for p in block:
-            k = int(p.imag)
+        for p in points:
+            k = index[p]
             if k == first:
                 out.append((1e-9, 0.0))
             elif k == second:
@@ -500,9 +555,18 @@ def test_first_failure_in_point_order_wins(first, second):
         return out
 
     seen = []
+
+    def recording_above_floor(z, val):
+        val = above_floor(z, val)
+        seen.append(z)
+        return val
+
+    above_floor = zeros._above_floor
+    monkeypatch.setattr(zeros, "_zeta_pairs", many)
+    monkeypatch.setattr(zeros, "_above_floor", recording_above_floor)
     with pytest.raises((BoundaryTooCloseToZero, DomainError)) as exc:
-        for z, v in zip(points, zeros._values(many, points)):
-            seen.append(zeros._above_floor(z, v))
+        count_zeros_rect(r, 64)
+    assert calls == [len(index)]
     assert len(seen) == min(first, second)
     assert type(exc.value) is (BoundaryTooCloseToZero if first < second else DomainError)
 
