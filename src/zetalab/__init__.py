@@ -11,7 +11,7 @@ from .harness import REGISTRY, all_assertions_pass, grid_scan, run_all, run_chec
 from .reflect import NuClassification, classify_nu, conj_ratio, kappa, nu, theta
 from .reporting import VERSION as __version__
 from .reporting import CheckResult, RunConfig, emit_report
-from .specfun import EvalResult, gamma, half_cos
+from .specfun import EvalResult, gamma
 from .zeros import Rect, ZeroRecord, check_line_zeros, count_zeros_rect, find_critical_zeros, multiplicity
 from .zeta_eval import eta, eta_many, zeta, zeta_many, zeta_reflect
 
@@ -37,7 +37,6 @@ __all__ = [
     "find_critical_zeros",
     "gamma",
     "grid_scan",
-    "half_cos",
     "kappa",
     "multiplicity",
     "nu",

@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--out", default=None, help="output path (default stdout)")
 
     scan_cmd = sub.add_parser("scan", help="Grid-scan a quantity over a rectangle (CSV)")
-    scan_cmd.add_argument("--rect", required=True, help="re_min,re_max,im_min,im_max")
+    scan_cmd.add_argument(
+        "--rect", required=True, help="re_min,re_max,im_min,im_max; write --rect=-1,1,0,2 when re_min is negative"
+    )
     scan_cmd.add_argument("--step", type=float, required=True)
     scan_cmd.add_argument(
         "--quantity", choices=["abs_zeta", "abs_eta", "abs_kappa", "im_kappa"], required=True

@@ -331,8 +331,7 @@ def run_check(check_id: str, cfg: RunConfig | None = None) -> CheckResult:
     entry = REGISTRY.get(check_id)
     if entry is None:
         raise UnknownCheckId(check_id)
-    body, is_finding, default_tol = entry
-    tolerance = cfg.tolerance_overrides.get(check_id, default_tol)
+    body, is_finding, tolerance = entry
     rng = _rng_for(cfg.seed, check_id)
     start = time.perf_counter()
     try:

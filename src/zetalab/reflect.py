@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -16,10 +17,11 @@ from .errors import (
     NearPole,
     NearZeroOfZeta,
     Overflow,
+    PoleAtNonPositiveInteger,
     ZeroInput,
     ZetaLabError,
 )
-from .specfun import LOG_TWO_PI, EvalResult, _rgamma, half_cos
+from .specfun import EvalResult, _chi
 from .zeta_eval import _EPS, LN2, _factor_zero_distance, eta, zeta
 
 __all__ = [
@@ -67,19 +69,20 @@ def conj_ratio(u: float, v: float) -> complex:
 def nu(s: complex) -> EvalResult:
     """Reflection factor nu with zeta(s) = nu(s) * zeta(1 - conj(s)).
 
-    Computed from the inverted product form
+    By the functional equation at conj(s),
 
-        1/nu(s) = 2 Gamma(conj s) (2 pi)^(-conj s) cos(pi conj(s)/2)
-                  * conj_ratio(Re zeta(s), Im zeta(s)),
+        nu(s) = chi(conj s) / conj_ratio(Re zeta(s), Im zeta(s)),
 
-    with the Gamma applied as a reciprocal so that the factor stays
-    computable where the reflected zeta value degenerates.
+    with chi the factor that zeta's reflected route takes. Its denominator
+    Gamma is a reciprocal, so nu(0) = 0 exactly.
 
     Raises:
-        NearPole: within 1e-9 of s = 1, or where the cosine factor vanishes
-            identically (exact odd-integer conj argument).
+        NearPole: within 1e-9 of s = 1, or on (within rounding of) the
+            poles of Gamma((1 - conj s)/2) at s = 3, 5, 7, ...
         NearZeroOfZeta: where |zeta(s)| is too small to condition the ratio.
         Overflow: the value or its bound leaves the floating range.
+        DomainError: s is not finite, |Im s| is above zeta's MAX_HEIGHT, or
+            chi(conj s) falls below the normal floating range (nu(300)).
     """
     s = complex(s)
     if abs(s.imag) < 1e-9 and abs(s - 1.0) < 1e-9:  # abs(s - 1.0) alone overflows near |s| = 1e308
@@ -87,17 +90,18 @@ def nu(s: complex) -> EvalResult:
     z = zeta(s)
     if abs(z.value) < _ZETA_ZERO_GUARD:
         raise NearZeroOfZeta(f"|zeta({s})| = {abs(z.value):.2e} too small for nu")
-    sb = s.conjugate()
-    cos_term = half_cos(sb)
-    if cos_term == 0.0:
-        raise NearPole(f"cos(pi*conj(s)/2) vanishes exactly at {s}")
-    ratio = conj_ratio(z.value.real, z.value.imag)
-    try:  # (2 pi)^conj(s) overflows from Re s of about 385
-        value = cmath.exp(sb * LOG_TWO_PI) * _rgamma(sb) / (2.0 * cos_term * ratio)
-    except OverflowError:
-        value = complex(math.inf)
+    try:
+        chi, chi_rel = _chi(s.conjugate())
+    except PoleAtNonPositiveInteger:
+        raise NearPole(f"nu has a pole at or near {s}") from None
+    if not cmath.isfinite(chi):  # checked before abs(), which can raise on a NaN
+        raise Overflow(f"nu({s}) leaves the floating range")
+    # chi(conj s) is exactly 0 only at s = 0, -2, -4, ..., and zeta(s) is 0 at all but s = 0
+    if abs(chi) < sys.float_info.min and s != 0.0:
+        raise DomainError(f"nu({s}) falls below the normal floating range")
+    value = chi / conj_ratio(z.value.real, z.value.imag)
     z_rel = z.abs_err_est / abs(z.value)
-    err = abs(value) * (6e-13 + 2.0 * z_rel + 8.0 * _EPS)
+    err = abs(value) * (chi_rel + 2.0 * z_rel + 8.0 * _EPS)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise Overflow(f"nu({s}) leaves the floating range")
     return EvalResult(value, err, "functional-equation")

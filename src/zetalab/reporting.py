@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 __all__ = ["CheckResult", "RunConfig", "emit_report", "VERSION"]
 
@@ -46,21 +46,8 @@ class RunConfig:
     """
 
     seed: int = 0
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
     kappa_grid: tuple[int, int] = (40, 40)
     line_t_max: float = 40.0
-
-
-def _result_dict(r: CheckResult) -> dict:
-    return {
-        "id": r.id,
-        "verdict": r.verdict,
-        "worst_residual": r.worst_residual,
-        "tolerance": r.tolerance,
-        "n_samples": r.n_samples,
-        "details": r.details,
-        "duration_ms": r.duration_ms,
-    }
 
 
 def strip_durations(results: list[CheckResult]) -> list[CheckResult]:
@@ -80,7 +67,7 @@ def emit_report(results: list[CheckResult], format: str, seed: int = 0) -> bytes
         payload = {
             "version": VERSION,
             "seed": seed,
-            "results": [_result_dict(r) for r in results],
+            "results": [asdict(r) for r in results],
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 

@@ -1,7 +1,7 @@
-"""Complex special functions: Gamma, its reciprocal, and cos(pi*s/2).
+"""Complex special functions: Gamma, its reciprocal, and the factor chi of
+the functional equation zeta(s) = chi(s) zeta(1 - s).
 
-All operations are pure. The half-angle cosine is computed from its
-real/imaginary decomposition so that conjugate symmetry holds bit-exactly.
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, Overflow, PoleAtNonPositiveInteger
 
-__all__ = ["EvalResult", "gamma", "half_cos"]
+__all__ = ["EvalResult", "gamma"]
 
 #: Method tags an EvalResult may carry.
 METHODS = frozenset(
@@ -28,9 +28,6 @@ METHODS = frozenset(
 
 #: Distance below which an argument counts as sitting on a Gamma pole.
 POLE_TOL = 1e-12
-
-#: half_cos raises Overflow beyond this |Im(s)| instead of returning inf.
-HALF_COS_IM_MAX = 700.0 / math.pi
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -202,6 +199,16 @@ def _gamma_pair(s: complex) -> tuple[complex, float]:
     return value, _GAMMA_REL_ERR_FAR * abs(value)
 
 
+def _chi(s: complex) -> tuple[complex, float]:
+    """chi(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), the factor in
+    zeta(s) = chi(s) zeta(1 - s), and a bound on its relative error; raises
+    what gamma((1-s)/2) raises. The denominator Gamma is applied as a
+    reciprocal, so chi is exactly 0 at s = 0, -2, -4, ... The value may leave
+    the floating range, and callers check it before they take abs()."""
+    g, g_err = _gamma_pair((1.0 - s) / 2.0)
+    return cmath.exp((s - 0.5) * LN_PI) * g * _rgamma(s / 2.0), g_err / abs(g) + 6e-13
+
+
 def _stirling_log_abs_gamma(s: complex) -> float:
     """ln|Gamma(s)| from Stirling's leading terms, reflected left of 1/2.
     Off by about 1/(12|s|), which is small where Gamma leaves the range."""
@@ -213,25 +220,3 @@ def _stirling_log_abs_gamma(s: complex) -> float:
         return LN_PI - log_sin - _stirling_log_abs_gamma(1.0 - s)
     # cmath.log(s).real is ln|s| also where abs(s) overflows
     return (s.real - 0.5) * cmath.log(s).real - s.imag * math.atan2(s.imag, s.real) - s.real + 0.5 * LOG_TWO_PI
-
-
-def half_cos(s: complex) -> complex:
-    """cos(pi*s/2) via the decomposition
-
-        cos(a*pi/2)*cosh(b*pi/2) - i*sin(a*pi/2)*sinh(b*pi/2),  s = a + i*b,
-
-    which makes conjugate symmetry bit-exact and odd integers exact zeros.
-
-    Raises:
-        Overflow: when |Im(s)| > 700/pi, where cosh would leave the range
-            the invariants are asserted on.
-        DomainError: s is not finite.
-    """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"half_cos requires a finite argument, got {s}")
-    if abs(s.imag) > HALF_COS_IM_MAX:
-        raise Overflow(f"half_cos overflow guard: |Im(s)| = {abs(s.imag)}")
-    c, sn = _cos_sin_pi_half(s.real)
-    y = 0.5 * math.pi * s.imag
-    return complex(c * math.cosh(y), -sn * math.sinh(y))

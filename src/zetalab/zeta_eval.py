@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, ZetaLabError
-from .specfun import LN_PI, EvalResult, _gamma_pair, _rgamma
+from .specfun import EvalResult, _chi
 
 __all__ = [
     "zeta",
@@ -399,8 +399,8 @@ def _zeta_values(pts: list[complex], routes: list, name: str = "zeta") -> list[t
     reflect = []
     for i, r in enumerate(routes):
         if r == "reflect":
-            try:  # Gamma((1-s)/2), its bound and 1/Gamma(s/2); their errors come before zeta(1-s)'s
-                out[i] = *_gamma_pair((1.0 - pts[i]) / 2.0), _rgamma(pts[i] / 2.0)
+            try:  # chi(s) and its bound; their errors come before zeta(1-s)'s
+                out[i] = _chi(pts[i])
                 reflect.append(i)
             except ZetaLabError as exc:
                 out[i] = exc
@@ -422,23 +422,22 @@ def _zeta_values(pts: list[complex], routes: list, name: str = "zeta") -> list[t
     if reflect:
         inner = [1.0 - pts[i] for i in reflect]
         for i, z1 in zip(reflect, _zeta_values(inner, _routes(inner))):
-            out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(pts[i], *out[i], *z1)
+            out[i] = z1 if isinstance(z1, ZetaLabError) else _reflect_value(*out[i], *z1)
     for i in em + reflect:  # the routes whose arithmetic can overflow
         if not (isinstance(out[i], ZetaLabError) or cmath.isfinite(out[i][0]) and math.isfinite(out[i][1])):
             out[i] = DomainError(f"{name} at s = {pts[i]} leaves the floating range on the {routes[i]} route")
     return out
 
 
-def _reflect_value(
-    s: complex, g: complex, g_err: float, rg: complex, z1_value: complex, z1_err: float
-) -> tuple[complex, float]:
-    pre = cmath.exp((s - 0.5) * LN_PI)
-    value = pre * g * rg * z1_value
-    g_rel = g_err / abs(g)
+def _reflect_value(chi: complex, chi_rel: float, z1_value: complex, z1_err: float) -> tuple[complex, float]:
+    """zeta(s) = chi(s) zeta(1 - s) and its bound; a value that is not finite
+    gets an infinite bound without abs(), which can raise on a NaN."""
+    value = chi * z1_value
+    if not cmath.isfinite(value):
+        return value, math.inf
     z_rel = z1_err / max(abs(z1_value), 1e-300)
     # where 1/Gamma(s/2) is exactly 0, zeta(s) = 0 exactly, and so is err
-    err = abs(value) * (g_rel + 6e-13 + z_rel + 8.0 * _EPS)
-    return value, err
+    return value, abs(value) * (chi_rel + z_rel + 8.0 * _EPS)
 
 
 def zeta_reflect(s: complex) -> EvalResult:

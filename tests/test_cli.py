@@ -120,6 +120,21 @@ def test_scan(capsys):
     assert len(lines) == 4
 
 
+def test_scan_rect_with_negative_re_min_takes_the_equals_form(capsys):
+    argv = ["--step", "0.5", "--quantity", "abs_zeta"]
+    # argparse reads a value that starts with '-' as an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--rect", "-1,1,0,2", *argv])
+    assert exc.value.code == 2
+    assert "--rect: expected one argument" in capsys.readouterr().err
+    code, out = run_cli(["scan", "--rect=-1,1,0,2", *argv], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 5 * 5
+    with pytest.raises(SystemExit):
+        cli.main(["scan", "--help"])
+    assert "--rect=-1,1,0,2" in capsys.readouterr().out
+
+
 def test_scan_bad_rect(capsys):
     assert_one_line_error(["scan", "--rect", "1,2,3", "--step", "0.1", "--quantity", "abs_zeta"], capsys)
 

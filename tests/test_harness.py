@@ -59,17 +59,19 @@ def test_finding_checks_report_finding():
         assert math.isfinite(r.worst_residual)
 
 
-def test_tolerance_override_applies():
-    cfg = RunConfig(tolerance_overrides={"FUNCEQ_34": 1e-6})
-    r = run_check("FUNCEQ_34", cfg)
+def test_registry_tolerance_applies(monkeypatch):
+    body, finding, _ = REGISTRY["FUNCEQ_34"]
+    monkeypatch.setitem(REGISTRY, "FUNCEQ_34", (body, finding, 1e-6))
+    r = run_check("FUNCEQ_34")
     assert r.tolerance == 1e-6
     assert r.verdict == "pass"
 
 
-def test_failure_isolation_and_exit_contract():
+def test_failure_isolation_and_exit_contract(monkeypatch):
     # An impossible tolerance forces a fail without stopping later checks.
-    cfg = RunConfig(tolerance_overrides={"P1_CONJ_RATIO": -1.0})
-    results = run_all(cfg)
+    body, finding, _ = REGISTRY["P1_CONJ_RATIO"]
+    monkeypatch.setitem(REGISTRY, "P1_CONJ_RATIO", (body, finding, -1.0))
+    results = run_all()
     assert len(results) == len(REGISTRY)
     by_id = {r.id: r for r in results}
     assert by_id["P1_CONJ_RATIO"].verdict == "fail"

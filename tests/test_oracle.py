@@ -69,6 +69,11 @@ def _box(re, im):
     return lambda rng: complex(rng.uniform(*re), rng.uniform(*im))
 
 
+def _high_box(re, im):
+    """_box(re, im) or its mirror image in the real axis, at random."""
+    return lambda rng: complex(rng.uniform(*re), rng.choice([-1.0, 1.0]) * rng.uniform(*im))
+
+
 def _gamma_contract(lanczos):
     """A point of gamma's contract domain |s| <= 20 on the Lanczos branch
     (Re s >= 1/2) or on the reflected one."""
@@ -103,6 +108,8 @@ TABLE = [
     ("gamma-far", gamma, _gamma_far, 150, None),
     ("nu", nu, _box((-10.0, 10.0), (-40.0, 40.0)), 60, None),
     ("nu-strip", nu, _box((0.1, 0.9), (1.0, 25.0)), 100, None),
+    ("nu-left", nu, _box((-150.0, -50.0), (-200.0, 200.0)), 60, None),
+    ("nu-high", nu, _high_box((-10.0, 30.0), (230.0, 440.0)), 60, None),
     ("kappa", kappa, _box((0.26, 3.0), (-100.0, 100.0)), 60, None),
     ("theta-strip", theta, _box((-20.0, 20.0), (-50.0, 50.0)), 100, None),
     ("theta-left", theta, _box((-1020.0, -1.0), (-50.0, 50.0)), 100, None),

@@ -72,9 +72,35 @@ def test_nu_guards():
 
 
 def test_nu_raises_where_its_arithmetic_overflows():
-    # 1/Gamma(conj s) overflows by reflection and meets inf / inf, not NaN
+    # zeta(2 + 500i) has a value, but Gamma((1 - conj s)/2) overflows through
+    # the sin(pi z) of its reflection from |Im s| of about 452
     with pytest.raises(Overflow):
-        nu(-107.5 - 143.0j)
+        nu(2.0 + 500.0j)
+
+
+def test_nu_at_negative_odd_integers_holds_its_bound():
+    # nu(-1) = zeta(-1)/zeta(2) and nu(-3) = zeta(-3)/zeta(4), where cos(pi s/2) vanishes
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-1.0, -3.0):
+        got = nu(s)
+        with mpmath.workdps(40):
+            ref = mpmath.zeta(s) / mpmath.zeta(1 - s)
+            assert float(abs(mpmath.mpc(got.value) - ref)) <= got.abs_err_est, s
+
+
+def test_nu_raises_near_pole_at_positive_odd_integers():
+    # Gamma((1 - s)/2) has its poles at s = 3, 5, ..., where zeta(1 - s) vanishes
+    for s in (3.0, 5.0):
+        with pytest.raises(NearPole):
+            nu(s)
+
+
+def test_nu_below_the_normal_range_is_a_domain_error():
+    for s in (300.0, 340.0):
+        with pytest.raises(DomainError):
+            nu(s)
+    zero = nu(0.0)
+    assert zero.value == 0.0 and zero.abs_err_est == 0.0
 
 
 def test_nu_vanishes_toward_even_negatives():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab import gamma, half_cos, zeta
+from zetalab import gamma, zeta
 from zetalab.errors import DomainError, Overflow, PoleAtNonPositiveInteger, ZetaLabError
 from zetalab.specfun import _LANCZOS_C, _LANCZOS_G, TWO_PI, _gamma_pair, _lanczos, _rgamma
 
@@ -84,32 +84,9 @@ def test_functional_equation_from_gamma_and_half_cos():
     for _ in range(30):
         s = complex(rng.uniform(1.6, 6.0), rng.uniform(-20, 20))
         lhs = zeta(1.0 - s).value
-        rhs = 2.0 * TWO_PI ** (-s) * half_cos(s) * gamma(s).value * zeta(s).value
+        rhs = 2.0 * TWO_PI ** (-s) * cmath.cos(0.5 * math.pi * s) * gamma(s).value * zeta(s).value
         assert abs(lhs - rhs) < 1e-9 * (1.0 + abs(lhs))
-    assert abs(2.0 * TWO_PI**-2.0 * half_cos(2.0) * gamma(2.0).value - (-1.0 / (2.0 * math.pi**2))) < 1e-15
-
-
-@pytest.mark.parametrize("s", [1.0, -3.0, 5.0, -7.0])
-def test_half_cos_exact_zeros_at_odd_integers(s):
-    assert half_cos(s) == 0.0
-
-
-def test_half_cos_matches_generic_cosine():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        s = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
-        ref = cmath.cos(0.5 * math.pi * s)
-        assert abs(half_cos(s) - ref) <= 1e-12 * (1.0 + abs(ref))
-
-
-def test_half_cos_conjugate_symmetry_bit_exact():
-    for s in [0.4 + 7.0j, -2.3 + 1.5j, 3.7 - 11.0j, 0.5 + 0.25j]:
-        assert half_cos(s.conjugate()) == half_cos(s).conjugate()
-
-
-def test_half_cos_overflow_guard():
-    with pytest.raises(Overflow):
-        half_cos(complex(0.0, 700.0 / math.pi + 1.0))
+    assert abs(2.0 * TWO_PI**-2.0 * cmath.cos(math.pi) * gamma(2.0).value - (-1.0 / (2.0 * math.pi**2))) < 1e-15
 
 
 def test_gamma_reflection_overflow_is_typed():

@@ -12,7 +12,6 @@ from zetalab import (
     conj_ratio,
     eta,
     gamma,
-    half_cos,
     kappa,
     nu,
     theta,
@@ -421,13 +420,12 @@ def test_non_finite_input_raises_domain_error(s):
 @pytest.mark.parametrize(
     "f",
     [
-        half_cos,
         theta,
         lambda s: conj_ratio(s.real, s.imag),
         nu,
         kappa,
     ],
-    ids=["half_cos", "theta", "conj_ratio", "nu", "kappa"],
+    ids=["theta", "conj_ratio", "nu", "kappa"],
 )
 def test_non_finite_input_to_the_other_routes_raises_domain_error(f, s):
     with pytest.raises(DomainError, match="finite"):
