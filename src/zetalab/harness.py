@@ -35,6 +35,10 @@ logger = logging.getLogger(__name__)
 _FIRST_ZERO_TS = (14.134725, 21.022040, 25.010858)
 #: table bound of the Dirichlet series checks EQ54, EQ56 and EQ58.
 _SERIES_BOUND = 1_000_000
+#: indices per block of the cube series: each block is summed pairwise by
+#: numpy and the block sums joined by fsum, so no BLAS thread count can move
+#: the bytes, and no float64 array spans the whole table.
+_SERIES_BLOCK = 1 << 16
 
 
 def _rng_for(seed: int, check_id: str) -> np.random.Generator:
@@ -212,9 +216,14 @@ def _cube_series(bound: int) -> tuple[float, float]:
     """(sum lambda(n) n^-3, sum sigma(n) n^-3) over the table up to bound;
     shared by EQ54, EQ56 and EQ58."""
     table = arith.cached_table(bound)
-    pw = np.arange(1.0, bound + 1.0) ** -3.0
-    lam = float(np.dot(table.liouville[1:].astype(np.float64), pw))
-    return lam, float(np.dot(table.sigma_paper[1:].astype(np.float64), pw))
+    lam, sig = [], []
+    for lo in range(1, bound + 1, _SERIES_BLOCK):
+        hi = min(lo + _SERIES_BLOCK, bound + 1)
+        x = np.arange(float(lo), float(hi))
+        pw = 1.0 / (x * x * x)  # IEEE basic operations; numpy's ** rounds unlike libm
+        lam.append(float(np.sum(table.liouville[lo:hi] * pw)))
+        sig.append(float(np.sum(table.sigma_paper[lo:hi] * pw)))
+    return math.fsum(lam), math.fsum(sig)
 
 
 def _check_liouville(cfg: RunConfig, rng) -> tuple[float, int, str]:

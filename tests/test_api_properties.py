@@ -78,3 +78,21 @@ def test_every_evaluator_raises_typed_errors_on_the_grid_of_extremes():
             except ZetaLabError:
                 continue
             assert _finite(result), (f.__name__, s, result)
+
+
+#: real parts on all three dispatch regions (Euler-Maclaurin above 1.5, the
+#: strip, the reflection at and below 0) and at their edges.
+SYMMETRY_REALS = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 1.5, 1.5000000000000002, -2.0, -171.5]) | st.floats(
+    -200.0, 200.0
+)
+
+
+@DERANDOMIZED
+@given(st.builds(complex, SYMMETRY_REALS, st.floats(-400.0, 400.0)))
+def test_zeta_is_conjugate_symmetric_within_its_bounds(s):
+    try:
+        upper, lower = zeta(s), zeta(s.conjugate())
+    except ZetaLabError:
+        return
+    gap = abs(lower.value - upper.value.conjugate())
+    assert gap <= upper.abs_err_est + lower.abs_err_est, (s, upper, lower)

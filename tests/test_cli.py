@@ -173,6 +173,22 @@ def test_cli_process_prints_no_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_series_report_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count at load, hence one process per count.
+    # On a 1-core host both runs take one thread, and this cannot fail.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["verify", "--seed", "1", "--only", "EQ54_LIOUVILLE,EQ58_PRODUCT", "--report", "csv"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab.cli", *argv], capture_output=True, env=env, cwd=tmp_path, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"EQ54_LIOUVILLE" in outputs[0] and b"EQ58_PRODUCT" in outputs[0]
+
+
 def test_eval_at_large_height_keeps_json_error(capsys):
     code, out = run_cli(["eval", "0.5", "1000"], capsys)
     assert code == 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,34 @@ def test_series_checks_do_not_depend_on_order():
             inside[check_id].details,
         )
     assert _cube_series.cache_info().misses == 1
+
+
+def test_cube_series_streams_the_table_without_a_full_length_float_array():
+    from zetalab.arith import cached_table
+    from zetalab.harness import _cube_series
+
+    cached_table(10**6)  # the table is the sieve's memory; measure only the series
+    tracemalloc.start()
+    try:
+        _cube_series.__wrapped__(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 column over the table would alone take 8 MB
+    assert peak < 4e6, peak
+
+
+def test_cube_series_matches_fsum_over_the_terms_through_a_partial_last_block():
+    from zetalab.arith import cached_table
+    from zetalab.harness import _SERIES_BLOCK, _cube_series
+
+    bound = 10**5 + 7
+    assert bound % _SERIES_BLOCK
+    table = cached_table(bound)
+    expected = math.fsum(int(table.liouville[n]) * (1.0 / (n * n * n)) for n in range(1, bound + 1))
+    lam, sig = _cube_series.__wrapped__(bound)
+    assert abs(lam - expected) <= 8 * math.ulp(expected), (lam, expected)
+    assert sig == 0.125
 
 
 def _scalar_sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-3):
