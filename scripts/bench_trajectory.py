@@ -19,11 +19,17 @@ tree after the other do not compare trees on a shared host; these pairs do.
 Under "digests_equal" it records, and it prints, per workload, whether
 every change run gave the baseline run's output digest for the same seed,
 so a record shows whether the change moved any output byte.
+
+Each tree's record names its source: "commit" (HEAD) and "dirty" (whether
+src differs from it), both null where git fails, as in a plain copy, and
+"src_sha256", a SHA-256 over the sorted paths of src/**/*.py and their bytes,
+which tells two trees apart with or without git.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -42,8 +48,24 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
     return info, json.loads(lines[-1])
 
 
-def git(root: Path, *cmd: str) -> str:
-    return subprocess.run(["git", *cmd], cwd=root, capture_output=True, text=True).stdout.strip()
+def git(root: Path, *cmd: str) -> str | None:
+    """git's stripped output at root, or None where git fails."""
+    try:
+        proc = subprocess.run(["git", *cmd], cwd=root, capture_output=True, text=True)
+    except OSError:  # no git on the PATH
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_sha256(root: Path) -> str:
+    """SHA-256 over src/**/*.py under root: each relative path, in sorted
+    order, with its length and then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p.relative_to(root).as_posix() for p in root.glob("src/**/*.py")):
+        data = (root / path).read_bytes()
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def medians(runs: list[dict]) -> dict[str, float]:
@@ -83,9 +105,11 @@ def main() -> None:
             runs[tree][workload].append(run_record)
 
     def tree_record(tree: str) -> dict:
+        status = git(roots[tree], "status", "--porcelain", "src")  # src differs from the commit
         return {
             "commit": git(roots[tree], "rev-parse", "HEAD"),
-            "dirty": bool(git(roots[tree], "status", "--porcelain", "src")),  # src differs from the commit
+            "dirty": None if status is None else bool(status),
+            "src_sha256": src_sha256(roots[tree]),
             "workloads": {
                 w: {"median": medians(r), "quartiles": quartiles(r), "runs": r} for w, r in runs[tree].items()
             },

@@ -103,7 +103,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     records = find_critical_zeros(args.tmin, args.tmax, args.step)
-    lines = ["t,re,im,abs_eta,multiplicity,method"]
+    lines = ["t,re,im,abs_zeta,multiplicity,method"]
     for rec in records:
         lines.append(
             f"{rec.location.imag!r},{rec.location.real!r},{rec.location.imag!r},"

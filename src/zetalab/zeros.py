@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BoundaryTooCloseToZero, DomainError, EvaluationFailure, NonIntegerWinding, PoleAtOne
 from .specfun import TWO_PI
-from .zeta_eval import _EPS, LN2, MAX_HEIGHT, _eta_pairs, _eta_plan, _ok, _try, _zeta_pairs, zeta
+from .zeta_eval import _EPS, MAX_HEIGHT, _eta_plan, _ok, _try, _zeta_pairs, zeta
 
 __all__ = [
     "Rect",
@@ -40,6 +40,10 @@ _MAX_SUBDIVISION_DEPTH = 48
 #: the edge's largest height: about half a minute on a 2-core x86_64. The largest
 #: census in the tests and the benchmark estimates 1.15e6 terms.
 _MAX_CENSUS_TERMS = 1e9
+#: the finder refuses a grid of more points than this before it allocates one.
+#: Its arrays take about 9 bytes a point: at 10^7 points the scan of (10, 20)
+#: peaked 86 MB above the import and took 0.1 s on a 2-core x86_64.
+_MAX_GRID_POINTS = 1e7
 #: width of the coarse cells of the critical-line scan; below eta's height
 #: limit the closest zeros lie 0.4364 apart, so no cell holds two of them.
 _COARSE_CELL = 0.2
@@ -87,8 +91,8 @@ class Rect:
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A located zero: position, residual magnitude there, order (proven 1
-    when winding-confirmed, else estimated), and how it was confirmed."""
+    """A located zero: position, |zeta| there, order (proven 1 when
+    winding-confirmed, else estimated), and how it was confirmed."""
 
     location: complex
     refined_abs_value: float
@@ -231,35 +235,34 @@ def _theta(t: float) -> tuple[float, float]:
     on its error: twice the first omitted term 31/(80640 t^5) (Gabcke 1979),
     plus 4 eps (1 + t + |theta|) for rounding. The series is off by more than
     pi/2 below t = 0.2 and diverges as t -> 0, so t is floored at 1e-3; the
-    finder's |eta| gate rejects the spurious sign changes down there."""
+    finder's |zeta| gate rejects the spurious sign changes down there."""
     u = max(t, 1e-3)
     theta = 0.5 * u * math.log(u / TWO_PI) - 0.5 * u - math.pi / 8.0 + 1.0 / (48.0 * u) + 7.0 / (5760.0 * u**3)
     return theta, 31.0 / (40320.0 * u**5) + 4.0 * _EPS * (1.0 + u + abs(theta))
 
 
-def _hardy_z(t: float, eta_value: complex, eta_err: float) -> tuple[float, float]:
-    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) from eta(1/2 + it),
-    and its bound: eta's over |1 - 2^(1/2 - it)|, plus |zeta| times the phase
-    errors of theta and of 2^(-it); inf below t = 10."""
+def _hardy_z(t: float, zeta_value: complex, zeta_err: float) -> tuple[float, float]:
+    """Hardy's Z(t) = Re(e^{i theta(t)} zeta(1/2 + it)) and its bound: zeta's,
+    plus |zeta| times the phase error of theta; inf below t = 10."""
     theta, theta_err = _theta(t)
-    factor = 1.0 - cmath.exp(complex(0.5, -t) * LN2)
-    z = (cmath.exp(1j * theta) * eta_value / factor).real
+    z = (cmath.exp(1j * theta) * zeta_value).real
     if t < 10.0:
         return z, math.inf
-    return z, (eta_err + abs(eta_value) * (theta_err + 4.0 * _EPS * t)) / abs(factor)
+    return z, zeta_err + abs(zeta_value) * theta_err
 
 
 def _z_signs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether Z(t) < 0, and whether |Z(t)| exceeds its bound, at each t of ts."""
-    etas = _eta_pairs([complex(0.5, t) for t in ts])
-    z, bound = np.fromiter((_hardy_z(t, *_ok(pair)) for t, pair in zip(map(float, ts), etas)), (float, 2), len(ts)).T
+    zetas = _zeta_pairs([complex(0.5, t) for t in ts])
+    z, bound = np.fromiter((_hardy_z(t, *_ok(pair)) for t, pair in zip(map(float, ts), zetas)), (float, 2), len(ts)).T
     return z < 0.0, np.abs(z) > bound
 
 
 def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRecord]:
     """Find the sign changes of Hardy's Z on a grid, bisect each to a 1e-10
-    bracket, keep those where |eta| < 1e-8, and certify them together by one
-    winding census of the window.
+    bracket, keep those where |zeta| < 1e-8, and certify them together by one
+    winding census of the window. Z reads zeta(1/2 + it) through the batch
+    entry the census uses, so every value on the line has one evaluator.
 
     The scan runs coarse to fine. Z is evaluated at every m-th grid point,
     m = max(1, int(0.2 / step)), and at the last one. Each coarse cell whose
@@ -288,7 +291,9 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
         ZeroRecords in increasing t; empty when the window holds no zero.
 
     Raises:
-        DomainError: the grid reaches above eta's height limit (about 446.2).
+        DomainError: the grid reaches above eta's height limit (about
+            446.2), or would hold more than _MAX_GRID_POINTS points; both are
+            checked before the grid exists.
     """
     if not (0.0 < t_min < t_max):
         raise ValueError("need 0 < t_min < t_max")
@@ -296,9 +301,14 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
         raise ValueError("step must be in (0, 0.05]")
 
     # the grid runs from t_min to its first point at or past t_max; eta's
-    # height limit is checked at that point before the grid exists
+    # height limit at that point, and then its size, are checked before the
+    # grid exists
     n_steps = float(np.ceil((t_max - t_min) / step))
     _eta_plan(complex(0.5, t_min + n_steps * step))
+    if n_steps + 1.0 > _MAX_GRID_POINTS:
+        raise DomainError(
+            f"find_critical_zeros would scan {n_steps + 1.0:.3g} grid points, over its cap {_MAX_GRID_POINTS:g}"
+        )
     # the census runs first, so that its waypoints and the scan's arrays never coexist
     census = _try(count_zeros_rect, Rect(0.0, 1.0, t_min, t_max))
     ts = t_min + step * np.arange(n_steps + 1.0)
@@ -326,8 +336,8 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
         a[open_] = np.where(to_left, m, a[open_])
         b[open_] = np.where(to_left, b[open_], m)
     t_stars = (0.5 * (a + b)).tolist()
-    g_stars = [abs(_ok(pair)[0]) for pair in _eta_pairs([complex(0.5, t) for t in t_stars])]
-    # |eta| >= 1e-8: the series error of theta flipped the sign, not a zero;
+    g_stars = [abs(_ok(pair)[0]) for pair in _zeta_pairs([complex(0.5, t) for t in t_stars])]
+    # |zeta| >= 1e-8: the series error of theta flipped the sign, not a zero;
     # t > t_max: the last grid point lies past t_max
     kept = [(complex(0.5, t), g, p) for t, g, p in zip(t_stars, g_stars, proven) if g < 1e-8 and t <= t_max]
     n_proven = sum(p for *_, p in kept)

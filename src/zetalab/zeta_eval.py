@@ -331,8 +331,9 @@ def _strip_value(s: complex, *plan_and_sums) -> tuple[complex, float]:
     factor = 1.0 - cmath.exp((1.0 - s) * LN2)
     value = eta_value / factor
     err = (eta_err + 4.0 * _EPS * abs(eta_value)) / abs(factor)
-    # rounding of the quotient, and of 1 - 2^(1-s), which cancels near s = 1 and its other zeros
-    err += 4.0 * _EPS * abs(value) * (1.0 + abs(1.0 - factor) / abs(factor))
+    # rounding of the quotient, and of 1 - 2^(1-s), which cancels near s = 1 and its other
+    # zeros; 2^(1-s) is off by eps (4 + |1-s| ln 2) relative, from exp and from (1-s) ln 2
+    err += _EPS * abs(value) * (4.0 + (4.0 + abs(1.0 - s) * LN2) * abs(1.0 - factor) / abs(factor))
     return value, err
 
 

@@ -96,3 +96,15 @@ def test_zeta_is_conjugate_symmetric_within_its_bounds(s):
         return
     gap = abs(lower.value - upper.value.conjugate())
     assert gap <= upper.abs_err_est + lower.abs_err_est, (s, upper, lower)
+
+
+@DERANDOMIZED
+@given(st.builds(complex, st.floats(-30.0, 31.0), st.floats(-400.0, 400.0)))
+def test_zeta_satisfies_the_functional_equation_within_its_bounds(s):
+    # zeta_reflect is chi(s) zeta(1 - s) on every route; zeta takes it only for Re s <= 0
+    try:
+        direct, reflected = zeta(s), zeta_reflect(s)
+    except ZetaLabError:
+        return
+    gap = abs(direct.value - reflected.value)
+    assert gap <= direct.abs_err_est + reflected.abs_err_est, (s, direct, reflected)

@@ -143,7 +143,7 @@ def test_zeros_csv(capsys):
     code, out = run_cli(["zeros", "--tmin", "14", "--tmax", "14.3", "--step", "0.02"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "t,re,im,abs_eta,multiplicity,method"
+    assert lines[0] == "t,re,im,abs_zeta,multiplicity,method"
     assert len(lines) == 2
     t = float(lines[1].split(",")[0])
     assert abs(t - 14.134725) < 1e-6
@@ -221,3 +221,17 @@ def test_every_exported_name_resolves(module):
 def test_zeros_above_the_supported_height_is_a_one_line_error(capsys):
     err = assert_one_line_error(["zeros", "--tmin", "10", "--tmax", "1e9", "--step", "0.01"], capsys)
     assert "height" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeros", "--tmin", "10", "--tmax", "20", "--step", "1e-12"], "grid points"),
+        (["scan", "--rect", "0,1,0,1", "--step", "1e-13", "--quantity", "abs_zeta"], "cells"),
+    ],
+    ids=["zeros", "scan"],
+)
+def test_an_oversized_grid_is_a_one_line_error(capsys, argv, message):
+    # steps whose grids numpy would refuse at once, so that a missing cap cannot exhaust memory
+    err = assert_one_line_error(argv, capsys)
+    assert message in err and "over its cap" in err

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from zetalab import REGISTRY, Rect, RunConfig, emit_report, grid_scan, run_all, run_check, zeta
-from zetalab.errors import UnknownCheckId, ZetaLabError
+from zetalab import harness
+from zetalab.errors import DomainError, UnknownCheckId, ZetaLabError
 from zetalab.harness import _sample_away_from_zeros, all_assertions_pass
 from zetalab.reporting import CheckResult, strip_durations
 
@@ -163,6 +164,18 @@ def test_grid_scan_validation():
         grid_scan(Rect(0.0, 1.0, 0.0, 1.0), 0.0, "abs_zeta")
     with pytest.raises(ValueError):
         grid_scan(Rect(0.0, 1.0, 0.0, 1.0), 0.1, "zeta")
+
+
+def test_grid_scan_refuses_an_oversized_grid(monkeypatch):
+    # 10^26 cells, a request numpy would refuse anyway; the cap names the count first
+    with pytest.raises(DomainError, match=r"1e\+26 cells, over its cap 1e\+06"):
+        grid_scan(Rect(0.0, 1.0, 0.0, 1.0), 1e-13, "abs_zeta")
+    # 6 x 3 cells, as in the height-limit scan below
+    monkeypatch.setattr(harness, "_MAX_SCAN_CELLS", 17)
+    with pytest.raises(DomainError, match="18 cells"):
+        grid_scan(Rect(-0.5, 2.0, 999.0, 1000.0), 0.5, "abs_zeta")
+    monkeypatch.setattr(harness, "_MAX_SCAN_CELLS", 18)
+    assert len(grid_scan(Rect(-0.5, 2.0, 999.0, 1000.0), 0.5, "abs_zeta").splitlines()) == 1 + 18
 
 
 def test_grid_scan_kappa_quantities():

@@ -24,7 +24,7 @@ from zetalab.errors import (
     EvaluationFailure,
     ZetaLabError,
 )
-from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _eta_pairs, _try, _zeta_pairs
+from zetalab.zeta_eval import FACTOR_ZERO_SPACING, _try, _zeta_pairs
 
 
 def test_rect_validation():
@@ -177,8 +177,8 @@ def test_find_critical_zeros_falls_back_when_the_census_disagrees(monkeypatch):
 def test_hardy_z_holds_its_bound_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     ts = np.random.default_rng(2029).uniform(10.0, 446.0, 200).tolist()
-    for t, (eta_value, eta_err) in zip(ts, _eta_pairs([complex(0.5, t) for t in ts])):
-        z, z_err = zeros._hardy_z(t, eta_value, eta_err)
+    for t, (zeta_value, zeta_err) in zip(ts, _zeta_pairs([complex(0.5, t) for t in ts])):
+        z, z_err = zeros._hardy_z(t, zeta_value, zeta_err)
         theta, theta_err = zeros._theta(t)
         with mpmath.workdps(30):
             assert float(abs(mpmath.siegelz(t) - z)) <= z_err, t
@@ -246,24 +246,35 @@ def test_coarse_scan_matches_the_full_grid(monkeypatch, t_min, t_max, step):
 
 
 def test_coarse_scan_evaluates_z_only_around_sign_changes(monkeypatch):
-    seen = []
+    seen, z_ts = [], []
 
-    def counting_eta_pairs(points):
+    def counting_zeta_pairs(points):
         points = list(points)
         seen.extend(points)
-        return _eta_pairs(points)
+        return zeta_pairs(points)
 
-    monkeypatch.setattr(zeros, "_eta_pairs", counting_eta_pairs)
+    def counting_z_signs(ts):
+        z_ts.extend(ts.tolist())
+        return z_signs(ts)
+
+    zeta_pairs, z_signs = zeros._zeta_pairs, zeros._z_signs
+    monkeypatch.setattr(zeros, "_zeta_pairs", counting_zeta_pairs)
+    monkeypatch.setattr(zeros, "_z_signs", counting_z_signs)
     records = find_critical_zeros(100.0, 110.0, 0.01)
     # the scan: every 20th of the 1001 grid points plus the last, then 4 or 5
     # halvings of each 20-step cell that holds a zero, down to adjacent points
     grid = set((100.0 + 0.01 * np.arange(1001.0)).tolist())
-    scan = [z for z in seen if z.imag in grid]
+    scan = [t for t in z_ts if t in grid]
     assert len(records) == 4
     assert 51 + 4 * len(records) <= len(scan) <= 51 + 5 * len(records)
-    # the bisection: 27 halvings take each 0.01 bracket below 1e-10, and one
-    # more point gates its midpoint; these all lie between grid points
-    assert len(seen) - len(scan) == (27 + 1) * len(records)
+    # the bisection: 27 halvings take each 0.01 bracket below 1e-10; these
+    # all lie between grid points
+    assert len(z_ts) - len(scan) == 27 * len(records)
+    # zeta on the line: those points, one more per bracket that gates its
+    # midpoint, and the census's two waypoints on Re s = 1/2, one on each
+    # horizontal edge
+    on_line = [z.imag for z in seen if z.real == 0.5]
+    assert sorted(on_line) == sorted([*z_ts, *(r.location.imag for r in records), 100.0, 110.0])
 
 
 def test_bisection_rounds_share_kernel_calls_across_term_counts(monkeypatch):
@@ -444,20 +455,16 @@ def _scalar_pair(f, s):
 
 
 def _use_scalar_calls(monkeypatch) -> list[complex]:
-    """Run the zeros module on scalar eta/zeta loops instead of batches; the
-    returned list collects the points those loops evaluate."""
+    """Run the zeros module on a scalar zeta loop instead of batches; the
+    returned list collects the points that loop evaluates."""
     seen = []
 
-    def scalar_pairs(f):
-        def pairs(points):
-            points = list(points)
-            seen.extend(points)
-            return [_scalar_pair(f, p) for p in points]
+    def scalar_pairs(points):
+        points = list(points)
+        seen.extend(points)
+        return [_scalar_pair(zeta, p) for p in points]
 
-        return pairs
-
-    for name, f in (("_eta_pairs", eta), ("_zeta_pairs", zeta)):
-        monkeypatch.setattr(zeros, name, scalar_pairs(f))
+    monkeypatch.setattr(zeros, "_zeta_pairs", scalar_pairs)
     return seen
 
 
@@ -576,9 +583,26 @@ def test_find_critical_zeros_checks_the_height_before_the_grid(monkeypatch, t_ma
     def no_grid(points):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(zeros, "_eta_pairs", no_grid)
+    monkeypatch.setattr(zeros, "_zeta_pairs", no_grid)
     with pytest.raises(DomainError):
         find_critical_zeros(10.0, t_max, 0.01)
+
+
+def test_find_critical_zeros_refuses_an_oversized_grid(monkeypatch):
+    def no_grid(points):
+        raise AssertionError("the grid was evaluated")
+
+    # 10^13 grid points, a request numpy would refuse anyway; the cap names the count first
+    with monkeypatch.context() as m:
+        m.setattr(zeros, "_zeta_pairs", no_grid)
+        with pytest.raises(DomainError, match=r"1e\+13 grid points, over its cap 1e\+07"):
+            find_critical_zeros(10.0, 20.0, 1e-12)
+    # the window (100, 110) at step 0.01 has 1001 grid points, both ends included
+    monkeypatch.setattr(zeros, "_MAX_GRID_POINTS", 1000)
+    with pytest.raises(DomainError, match=r"1e\+03 grid points"):
+        find_critical_zeros(100.0, 110.0, 0.01)
+    monkeypatch.setattr(zeros, "_MAX_GRID_POINTS", 1001)
+    assert len(find_critical_zeros(100.0, 110.0, 0.01)) == 4
 
 
 def test_mertens_inequality_seeded():
