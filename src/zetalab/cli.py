@@ -79,8 +79,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"ZETALAB_SEED must be an integer, got {raw!r}") from None
     cfg = RunConfig(seed=seed)
-    if args.only:
+    if args.only is not None:
         ids = [x.strip() for x in args.only.split(",") if x.strip()]
+        if not ids:
+            raise ValueError(f"--only names no check ids: {args.only!r}")
         unknown = [x for x in ids if x not in REGISTRY]
         if unknown:
             raise UnknownCheckId(f"unknown check ids: {', '.join(unknown)}")
@@ -162,14 +164,15 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. Library errors and malformed input (a bad
-    ZETALAB_SEED, --only or --rect) end the process with one
-    `zetalab: error: ...` line on stderr and exit status 2."""
+    """Run one subcommand. Library errors, malformed input (a bad
+    ZETALAB_SEED, --only or --rect) and an --out that cannot be written end
+    the process with one `zetalab: error: ...` line on stderr and exit
+    status 2; verify's exit status 1 means only that a check failed."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ZetaLabError, ValueError) as exc:
+    except (ZetaLabError, ValueError, OSError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

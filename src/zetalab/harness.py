@@ -21,11 +21,10 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, ZetaLabError
-from .reflect import classify_nu, kappa, _kappa_from_eta, nu
+from .reflect import _kappa_pairs, _kappa_value, _nu_pairs, classify_nu
 from .reporting import CheckResult, RunConfig
-from .specfun import EvalResult
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, eta_many, zeta
+from .zeta_eval import _eta_pairs, _ok, _zeta_pairs, _zeta_values, zeta
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
@@ -40,9 +39,10 @@ _SERIES_BOUND = 1_000_000
 #: the bytes, and no float64 array spans the whole table.
 _SERIES_BLOCK = 1 << 16
 #: grid_scan refuses a grid of more cells than this before it allocates one.
-#: Each cell keeps about 230 bytes of CSV text and costs about 12 us at low
-#: height: 303,601 cells peaked 69 MB above the import and took 3.8 s on a
-#: 2-core x86_64, so a grid at the cap takes about 230 MB and 12 s.
+#: Each cell keeps about 57 bytes of CSV text, peaks at about 116 bytes while
+#: its column strings are joined, and costs 9-14 us at low height: 303,601
+#: cells peaked 34 MB above the import and took 2.7-4.4 s on a 2-core x86_64
+#: (Python 3.11, numpy 2.4), so a grid at the cap takes about 116 MB and 14 s.
 _MAX_SCAN_CELLS = 1e6
 
 
@@ -110,16 +110,13 @@ def _check_nu_critline(cfg: RunConfig, rng) -> tuple[float, int, str]:
     worst = 0.0
     n = 50
     count = 0
-    while count < n:
-        t = rng.uniform(1.0, 30.0)
-        s = complex(0.5, t)
-        try:
-            if abs(zeta(s).value) < 1e-3:
-                continue  # zero neighborhood
-            worst = max(worst, abs(nu(s).value - 1.0))
-        except ZetaLabError:
-            continue
-        count += 1
+    while count < n:  # as many samples as are still missing, gated by |zeta| in one batch
+        candidates = [complex(0.5, rng.uniform(1.0, 30.0)) for _ in range(n - count)]
+        pairs = _zeta_pairs(candidates)
+        gated = [s for s, z in zip(candidates, pairs) if not isinstance(z, ZetaLabError) and abs(z[0]) >= 1e-3]
+        values = [r[0] for r in _nu_pairs(gated) if not isinstance(r, ZetaLabError)]
+        worst = max([worst, *(abs(v - 1.0) for v in values)])
+        count += len(values)
     return worst, n, "|nu(1/2 + it) - 1| on the critical line"
 
 
@@ -258,20 +255,15 @@ def _check_product_identity(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 @lru_cache(maxsize=2)
-def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, EvalResult, EvalResult, EvalResult], ...]:
-    """(s, eta(s), eta(2s), kappa(s)) over the kappa grid, re-major; shared
-    by EQ61 and KAPPA_REALNESS."""
+def _kappa_grid(shape: tuple[int, int]) -> tuple[tuple[complex, tuple, tuple, tuple], ...]:
+    """(s, eta(s), eta(2s), kappa(s)) over the kappa grid, re-major, as
+    (value, bound) pairs; shared by EQ61 and KAPPA_REALNESS."""
     n_re, n_im = shape
     res = np.linspace(0.55, 0.95, n_re)
     ims = np.linspace(0.0, 30.0, n_im)
     points = [complex(re, im) for re in res for im in ims]
-    grid = []
-    for s, e1, e2 in zip(points, eta_many(points), eta_many([2.0 * s for s in points])):
-        for e in (e1, e2):
-            if isinstance(e, ZetaLabError):
-                raise e
-        grid.append((s, e1, e2, _kappa_from_eta(s, e1, e2)))
-    return tuple(grid)
+    etas = _eta_pairs([*points, *(2.0 * s for s in points)])
+    return tuple((s, _ok(e1), _ok(e2), _kappa_value(s, e1, e2)) for s, e1, e2 in zip(points, etas, etas[len(points) :]))
 
 
 def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
@@ -280,14 +272,14 @@ def _check_kappa_grid(cfg: RunConfig, rng) -> tuple[float, int, str]:
     min_abs = math.inf
     max_abs = 0.0
     for s, e1, e2, k in grid:
-        a = abs(k.value)
+        a = abs(k[0])
         min_abs = min(min_abs, a)
         max_abs = max(max_abs, a)
         if a <= 1e-6:
             worst = max(worst, 1e-6 - a + 1.0)  # range violation dominates
         if a >= 1e6:
             worst = max(worst, a - 1e6)
-        ident = abs(e1.value - k.value * e2.value)
+        ident = abs(e1[0] - k[0] * e2[0])
         worst = max(worst, ident)
     details = f"|kappa| in [{min_abs:.4g}, {max_abs:.4g}]; identity residual within rounding"
     return worst, len(grid), details
@@ -298,8 +290,8 @@ def _check_kappa_realness(cfg: RunConfig, rng) -> tuple[float, int, str]:
     worst = 0.0
     arg = None
     for s, _, _, k in grid:
-        if abs(k.value.imag) > worst:
-            worst = abs(k.value.imag)
+        if abs(k[0].imag) > worst:
+            worst = abs(k[0].imag)
             arg = s
     details = f"max |Im(kappa)| = {worst!r} at s = {arg}; the claimed codomain is real"
     return worst, len(grid), details
@@ -373,13 +365,6 @@ def all_assertions_pass(results: list[CheckResult]) -> bool:
     return all(r.verdict != "fail" for r in results)
 
 
-def _each_kappa(points) -> list:
-    """kappa at each point as a (value, bound) pair or its error, the form
-    of _zeta_pairs."""
-    results = [_try(kappa, s) for s in points]
-    return [r if isinstance(r, ZetaLabError) else (r.value, r.abs_err_est) for r in results]
-
-
 def grid_scan(region: Rect, step: float, quantity: str) -> str:
     """Evaluate a field on a grid over the region and return CSV rows
     re,im,value. Evaluator errors leave the value cell empty (noted in the
@@ -399,8 +384,8 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     evaluators = {
         "abs_zeta": (_zeta_pairs, abs),
         "abs_eta": (_eta_pairs, abs),
-        "abs_kappa": (_each_kappa, abs),
-        "im_kappa": (_each_kappa, lambda v: v.imag),
+        "abs_kappa": (_kappa_pairs, abs),
+        "im_kappa": (_kappa_pairs, lambda v: v.imag),
     }
     if quantity not in evaluators:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -412,18 +397,21 @@ def grid_scan(region: Rect, step: float, quantity: str) -> str:
     )
     if re_count * im_count > _MAX_SCAN_CELLS:
         raise DomainError(f"grid_scan would take {re_count * im_count:.3g} cells, over its cap {_MAX_SCAN_CELLS:g}")
-    lines = ["re,im,value"]
+    columns = ["re,im,value\n"]
     res = np.arange(region.re_min, region.re_max + 0.5 * step, step)
     ims = np.arange(region.im_min, region.im_max + 0.5 * step, step).tolist()
     im_texts = [f",{im!r}," for im in ims]
     for re in res.tolist():
-        # one column (fixed Re) per batch call keeps the batch arrays small
+        # one column (fixed Re) per batch call keeps the batch arrays small,
+        # and one string per column keeps the text near its own size
         column = [complex(re, im) for im in ims]
         re_text = repr(re)
+        cells = []
         for s, im_text, r in zip(column, im_texts, many(column)):
             if isinstance(r, ZetaLabError):
                 logger.info("grid_scan: no value at %s: %s", s, r)
-                lines.append(re_text + im_text)
+                cells.append(f"{re_text}{im_text}\n")
             else:
-                lines.append(f"{re_text}{im_text}{float(pick(r[0]))!r}")
-    return "\n".join(lines) + "\n"
+                cells.append(f"{re_text}{im_text}{float(pick(r[0]))!r}\n")
+        columns.append("".join(cells))
+    return "".join(columns)

@@ -22,7 +22,7 @@ from .errors import (
     ZetaLabError,
 )
 from .specfun import EvalResult, _chi
-from .zeta_eval import _EPS, LN2, _factor_zero_distance, eta, zeta
+from .zeta_eval import _EPS, LN2, _eta_pairs, _factor_zero_distance, _ok, _try, _zeta_pairs, eta
 
 __all__ = [
     "NuClassification",
@@ -84,12 +84,22 @@ def nu(s: complex) -> EvalResult:
         DomainError: s is not finite, |Im s| is above zeta's MAX_HEIGHT, or
             chi(conj s) falls below the normal floating range (nu(300)).
     """
-    s = complex(s)
+    return EvalResult(*_ok(*_nu_pairs([s])), "functional-equation")
+
+
+def _nu_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
+    """nu's (value, bound) pairs, or errors, with zeta read in one batch."""
+    pts = [complex(p) for p in points]
+    return [_try(_nu_value, s, z) for s, z in zip(pts, _zeta_pairs(pts))]
+
+
+def _nu_value(s: complex, zeta_pair) -> tuple[complex, float]:
+    """nu(s) and its bound from zeta's (value, bound) pair at s, or its error."""
     if abs(s.imag) < 1e-9 and abs(s - 1.0) < 1e-9:  # abs(s - 1.0) alone overflows near |s| = 1e308
         raise NearPole(f"nu degenerates at the zeta pole, got {s}")
-    z = zeta(s)
-    if abs(z.value) < _ZETA_ZERO_GUARD:
-        raise NearZeroOfZeta(f"|zeta({s})| = {abs(z.value):.2e} too small for nu")
+    z_value, z_err = _ok(zeta_pair)
+    if abs(z_value) < _ZETA_ZERO_GUARD:
+        raise NearZeroOfZeta(f"|zeta({s})| = {abs(z_value):.2e} too small for nu")
     try:
         chi, chi_rel = _chi(s.conjugate())
     except PoleAtNonPositiveInteger:
@@ -99,12 +109,12 @@ def nu(s: complex) -> EvalResult:
     # chi(conj s) is exactly 0 only at s = 0, -2, -4, ..., and zeta(s) is 0 at all but s = 0
     if abs(chi) < sys.float_info.min and s != 0.0:
         raise DomainError(f"nu({s}) falls below the normal floating range")
-    value = chi / conj_ratio(z.value.real, z.value.imag)
-    z_rel = z.abs_err_est / abs(z.value)
+    value = chi / conj_ratio(z_value.real, z_value.imag)
+    z_rel = z_err / abs(z_value)
     err = abs(value) * (chi_rel + 2.0 * z_rel + 8.0 * _EPS)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise Overflow(f"nu({s}) leaves the floating range")
-    return EvalResult(value, err, "functional-equation")
+    return value, err
 
 
 def theta(s: complex) -> EvalResult:
@@ -147,18 +157,28 @@ def kappa(s: complex) -> EvalResult:
         EtaTwoSZero: when |eta(2s)| vanishes to working precision.
     """
     s = complex(s)
+    if s.real <= 0.25:  # as _kappa_value does, but before eta raises its own DomainError
+        raise DomainError(f"kappa requires Re(s) > 1/4, got {s}")
+    return EvalResult(*_kappa_value(s, *[(e.value, e.abs_err_est) for e in (eta(s), eta(2.0 * s))]), "accelerated-eta")
+
+
+def _kappa_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
+    """kappa's (value, bound) pairs, or errors, from one eta batch over every s and 2s."""
+    pts = [complex(p) for p in points]
+    etas = _eta_pairs([*pts, *(2.0 * s for s in pts)])
+    return [_try(_kappa_value, s, e1, e2) for s, e1, e2 in zip(pts, etas, etas[len(pts) :])]
+
+
+def _kappa_value(s: complex, eta_pair, eta2_pair) -> tuple[complex, float]:
+    """kappa(s) and its bound from eta's (value, bound) pairs, or errors, at s and 2s."""
     if s.real <= 0.25:
         raise DomainError(f"kappa requires Re(s) > 1/4, got {s}")
-    return _kappa_from_eta(s, eta(s), eta(2.0 * s))
-
-
-def _kappa_from_eta(s: complex, e1: EvalResult, e2: EvalResult) -> EvalResult:
-    """kappa(s) from e1 = eta(s) and e2 = eta(2s)."""
-    if abs(e2.value) < 1e-12:
-        raise EtaTwoSZero(f"|eta(2s)| = {abs(e2.value):.2e} at s = {s}")
-    value = e1.value / e2.value
-    err = (e1.abs_err_est + abs(value) * e2.abs_err_est) / abs(e2.value) + 4.0 * _EPS * abs(value)
-    return EvalResult(value, err, "accelerated-eta")
+    (e1, e1_err), (e2, e2_err) = _ok(eta_pair), _ok(eta2_pair)
+    if abs(e2) < 1e-12:
+        raise EtaTwoSZero(f"|eta(2s)| = {abs(e2):.2e} at s = {s}")
+    value = e1 / e2
+    err = (e1_err + abs(value) * e2_err) / abs(e2) + 4.0 * _EPS * abs(value)
+    return value, err
 
 
 @dataclass(frozen=True)
@@ -178,21 +198,16 @@ class NuClassification:
 
 def classify_nu(points: list[complex]) -> list[NuClassification]:
     """Classify each real-axis point as a zero, pole, or regular point of nu
-    by probing |nu| at offsets 1e-2, 1e-3, 1e-4 with monotonicity voting."""
+    by probing |nu| at offsets 1e-2, 1e-3, 1e-4, all in one batch, with monotonicity voting."""
+    pts = [complex(p) for p in points]
+    probes = iter(_nu_pairs([p + off for p in pts for off in PROBE_OFFSETS]))
     out = []
-    for p in points:
-        p = complex(p)
-        mags: list[float] = []
-        failed = False
-        for off in PROBE_OFFSETS:
-            try:
-                mags.append(abs(nu(p + off).value))
-            except ZetaLabError:
-                failed = True
-                break
-        if failed or len(mags) < len(PROBE_OFFSETS):
+    for p in pts:
+        pairs = [next(probes) for _ in PROBE_OFFSETS]
+        if any(isinstance(r, ZetaLabError) for r in pairs):
             out.append(NuClassification(p, "regular", math.nan, low_confidence=True))
             continue
+        mags = [abs(r[0]) for r in pairs]
         decreasing = mags[0] > mags[1] > mags[2]
         increasing = mags[0] < mags[1] < mags[2]
         final = mags[-1]

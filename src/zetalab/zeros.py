@@ -302,9 +302,11 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
 
     # the grid runs from t_min to its first point at or past t_max; eta's
     # height limit at that point, and then its size, are checked before the
-    # grid exists
+    # grid exists. A grid of no finite count has no last point, and the cap
+    # names its count.
     n_steps = float(np.ceil((t_max - t_min) / step))
-    _eta_plan(complex(0.5, t_min + n_steps * step))
+    if math.isfinite(n_steps):
+        _eta_plan(complex(0.5, t_min + n_steps * step))
     if n_steps + 1.0 > _MAX_GRID_POINTS:
         raise DomainError(
             f"find_critical_zeros would scan {n_steps + 1.0:.3g} grid points, over its cap {_MAX_GRID_POINTS:g}"
@@ -314,8 +316,9 @@ def find_critical_zeros(t_min: float, t_max: float, step: float) -> list[ZeroRec
     ts = t_min + step * np.arange(n_steps + 1.0)
     # Z's sign at every m-th grid point and the last one; a grid value of
     # exactly 0 counts as positive. Each coarse cell whose ends differ in sign
-    # is halved on the grid indices, all at once, until its ends are adjacent
-    coarse = np.array([*range(0, len(ts) - 1, max(1, int(_COARSE_CELL / step))), len(ts) - 1])
+    # is halved on the grid indices, all at once, until its ends are adjacent;
+    # a subnormal step makes 0.2 / step infinite, and no stride exceeds len(ts)
+    coarse = np.array([*range(0, len(ts) - 1, max(1, int(min(_COARSE_CELL / step, len(ts))))), len(ts) - 1])
     clear = np.zeros(len(ts), dtype=bool)
     negative, clear[coarse] = _z_signs(ts[coarse])
     cells = np.flatnonzero(negative[1:] != negative[:-1])

@@ -110,6 +110,19 @@ def test_verify_text_report_to_file(tmp_path, capsys):
     assert "SEC4_TRIVIAL_ZEROS" in path.read_text()
 
 
+@pytest.mark.parametrize("command", [["sieve", "10", "--fn", "sigma"], ["verify", "--only", "P1_CONJ_RATIO"]])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_an_unwritable_out_is_a_one_line_error(tmp_path, capsys, command, where):
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    err = assert_one_line_error([*command, "--out", str(path)], capsys)
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("only", [",,,", "", " , "])
+def test_verify_only_naming_no_check_is_a_one_line_error(capsys, only):
+    assert "no check ids" in assert_one_line_error(["verify", "--only", only], capsys)
+
+
 def test_scan(capsys):
     code, out = run_cli(
         ["scan", "--rect", "1.9,2.1,0,0.05", "--step", "0.1", "--quantity", "abs_zeta"], capsys

@@ -214,24 +214,29 @@ def test_kappa_checks_share_one_grid():
     assert grid.verdict == "pass"
 
 
-@pytest.mark.parametrize("quantity", ["abs_zeta", "abs_eta"])
+@pytest.mark.parametrize("quantity", ["abs_zeta", "abs_eta", "abs_kappa", "im_kappa"])
 def test_grid_scan_matches_scalar_reference(quantity):
     import numpy as np
 
-    from zetalab import eta, zeta
+    from zetalab import eta, kappa, zeta
     from zetalab.errors import ZetaLabError
 
-    scalar = {"abs_zeta": zeta, "abs_eta": eta}[quantity]
+    scalar, pick = {
+        "abs_zeta": (zeta, abs),
+        "abs_eta": (eta, abs),
+        "abs_kappa": (kappa, abs),
+        "im_kappa": (kappa, lambda v: v.imag),
+    }[quantity]
     # Re -1..2 covers the reflected, strip and EM routes, the origin and the
-    # pole at s = 1; Im up to 453 passes the height where the eta bound and
-    # the reflection overflow.
+    # pole at s = 1, and kappa's Re s <= 1/4; Im up to 453 passes the height
+    # where the eta bound and the reflection overflow.
     region, step = Rect(-1.0, 2.0, 0.0, 453.0), 0.5
     lines = ["re,im,value"]
     for re in np.arange(region.re_min, region.re_max + 0.5 * step, step):
         for im in np.arange(region.im_min, region.im_max + 0.5 * step, step):
             s = complex(float(re), float(im))
             try:
-                lines.append(f"{s.real!r},{s.imag!r},{float(abs(scalar(s).value))!r}")
+                lines.append(f"{s.real!r},{s.imag!r},{float(pick(scalar(s).value))!r}")
             except ZetaLabError:
                 lines.append(f"{s.real!r},{s.imag!r},")
     expected = "\n".join(lines) + "\n"
@@ -341,3 +346,100 @@ def test_sampler_matches_the_scalar_loop(seed, box, min_abs_zeta):
     batched = _sample_away_from_zeros(batched_rng, 40, *box, min_abs_zeta)
     assert batched == _scalar_sample_away_from_zeros(scalar_rng, 40, *box, min_abs_zeta)
     assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _scalar_nu_critline(rng):
+    """P3 as a loop of one-point zeta and nu calls, one sample at a time."""
+    from zetalab import nu
+
+    worst = 0.0
+    n = 50
+    count = 0
+    while count < n:
+        t = rng.uniform(1.0, 30.0)
+        s = complex(0.5, t)
+        try:
+            if abs(zeta(s).value) < 1e-3:
+                continue  # zero neighborhood
+            worst = max(worst, abs(nu(s).value - 1.0))
+        except ZetaLabError:
+            continue
+        count += 1
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+# at a zeta guard of 0.5, nu refuses about a tenth of the samples, so more rounds of resampling
+@pytest.mark.parametrize("zeta_guard", [None, 0.5], ids=["P3", "strict-nu"])
+def test_nu_critline_matches_the_scalar_loop(monkeypatch, seed, zeta_guard):
+    from zetalab import reflect
+    from zetalab.harness import _check_nu_critline, _rng_for
+
+    if zeta_guard is not None:
+        monkeypatch.setattr(reflect, "_ZETA_ZERO_GUARD", zeta_guard)
+    batched_rng, scalar_rng = _rng_for(seed, "P3_NU_CRITLINE"), _rng_for(seed, "P3_NU_CRITLINE")
+    worst, n, _ = _check_nu_critline(RunConfig(seed=seed), batched_rng)
+    assert (worst, n) == (_scalar_nu_critline(scalar_rng), 50)
+    assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def _recording(calls, f):
+    def wrapper(points):
+        points = list(points)
+        calls.append(len(points))
+        return f(points)
+
+    return wrapper
+
+
+def _no_scalar(*args):
+    raise AssertionError("a one-point evaluator was called")
+
+
+def test_nu_critline_reads_zeta_once_per_round(monkeypatch):
+    from zetalab import reflect
+
+    # strict enough that some samples are refused and P3 takes several rounds
+    monkeypatch.setattr(reflect, "_ZETA_ZERO_GUARD", 0.5)
+    expected = run_check("P3_NU_CRITLINE", RunConfig(seed=2))
+    gates, batches = [], []
+    monkeypatch.setattr(harness, "_zeta_pairs", _recording(gates, harness._zeta_pairs))
+    monkeypatch.setattr(reflect, "_zeta_pairs", _recording(batches, reflect._zeta_pairs))
+    monkeypatch.setattr(reflect, "nu", _no_scalar)
+    monkeypatch.setattr(harness, "zeta", _no_scalar)
+    got = run_check("P3_NU_CRITLINE", RunConfig(seed=2))
+    assert (got.verdict, got.worst_residual) == (expected.verdict, expected.worst_residual)
+    # one gate and one nu batch per round, each as large as the count still missing
+    assert len(gates) == len(batches) > 1 and gates[0] == 50
+    assert all(b <= g for g, b in zip(gates, batches))
+    assert all(later < earlier for earlier, later in zip(gates, gates[1:]))
+
+
+def test_kappa_grid_and_scan_read_eta_in_batches(monkeypatch):
+    from zetalab import reflect
+    from zetalab.harness import _kappa_grid
+
+    region, step = Rect(0.3, 1.2, 0.0, 2.0), 0.5
+    expected = grid_scan(region, step, "abs_kappa")
+    calls = []
+    monkeypatch.setattr(reflect, "_eta_pairs", _recording(calls, reflect._eta_pairs))
+    monkeypatch.setattr(reflect, "eta", _no_scalar)
+    monkeypatch.setattr(reflect, "kappa", _no_scalar)
+    assert grid_scan(region, step, "abs_kappa") == expected
+    assert calls == [2 * 5] * 3  # one batch of s and 2s for each of 3 columns of 5 cells
+    calls.clear()
+    monkeypatch.setattr(harness, "_eta_pairs", _recording(calls, harness._eta_pairs))
+    assert len(_kappa_grid.__wrapped__((3, 4))) == 12
+    assert calls == [2 * 12]
+
+
+def test_grid_scan_peaks_under_three_times_its_output():
+    # 61 x 101 cells on the direct series; one string per row used to peak at 4.3x
+    tracemalloc.start()
+    try:
+        text = grid_scan(Rect(2.0, 5.0, 0.0, 5.0), 0.05, "abs_zeta")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + 61 * 101
+    assert peak < 3 * len(text), peak / len(text)

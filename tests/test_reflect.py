@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetalab import classify_nu, conj_ratio, eta, kappa, nu, theta, zeta
+from zetalab import classify_nu, conj_ratio, eta, kappa, nu, reflect, theta, zeta
 from zetalab.errors import (
     DenominatorZero,
     DomainError,
@@ -15,8 +15,10 @@ from zetalab.errors import (
     NearZeroOfZeta,
     Overflow,
     ZeroInput,
+    ZetaLabError,
 )
-from zetalab.zeta_eval import FACTOR_ZERO_SPACING
+from zetalab.reflect import _kappa_pairs, _nu_pairs
+from zetalab.zeta_eval import FACTOR_ZERO_SPACING, MAX_HEIGHT
 
 KAPPA_075_REGRESSION = 0.8509680610516577  # frozen from eta(0.75)/eta(1.5)
 
@@ -209,3 +211,109 @@ def test_nu_error_is_consistent_with_identity():
         lhs = zeta(s).value
         rhs = n.value * zeta(1.0 - s.conjugate()).value
         assert abs(lhs - rhs) <= 2.0 * (n.abs_err_est * abs(zeta(1.0 - s.conjugate()).value) + 1e-12)
+
+
+def _outcome(f, s):
+    """f(s) as (value, bound), or the type and message of the error it raises."""
+    try:
+        r = f(s)
+    except ZetaLabError as exc:
+        return type(exc), str(exc)
+    return r.value, r.abs_err_est
+
+
+def _pair_outcome(r):
+    return (type(r), str(r)) if isinstance(r, ZetaLabError) else r
+
+
+#: every dispatch region and origin, s near 1, 3 and 5, zeros of zeta, Re s at
+#: and below 1/4, the line where eta(2s) vanishes, points that are not finite
+#: and points above MAX_HEIGHT, then seeded points with Re s in -20..20.
+_BATCH_POINTS = [
+    2.0,
+    3.5 + 40.0j,
+    0.75 + 10.0j,
+    0.5 - 21.0j,
+    -3.0 + 5.0j,
+    0.0,
+    1e-13,
+    1.0,
+    1.0 + 1e-13,
+    1.0 + 1e-10,
+    1.0 + 2e-9,
+    complex(1.0, 1e-10),
+    3.0,
+    3.0 + 1e-15,
+    5.0,
+    5.0 + 1e-4,
+    complex(0.5, 14.134725141734694),
+    -2.0,
+    -4.0 + 1e-3,
+    0.25,
+    0.2 + 1.0j,
+    -1.0,
+    complex(0.5, 0.5 * FACTOR_ZERO_SPACING),
+    complex(1.0, FACTOR_ZERO_SPACING),
+    complex(math.inf, 0.0),
+    complex(math.nan, 1.0),
+    complex(0.5, math.inf),
+    complex(2.0, MAX_HEIGHT),
+    complex(2.0, 1.01 * MAX_HEIGHT),
+    complex(0.5, 447.0),
+    300.0,
+    1e300,
+    -1e300,
+]
+
+
+@pytest.mark.parametrize(
+    "scalar, many, raised",
+    [(nu, _nu_pairs, {DomainError, NearPole, NearZeroOfZeta}), (kappa, _kappa_pairs, {DomainError, EtaTwoSZero})],
+    ids=["nu", "kappa"],
+)
+def test_batch_entries_match_the_scalar_functions(scalar, many, raised):
+    rng = np.random.default_rng(28)
+    points = _BATCH_POINTS + [complex(rng.uniform(-20.0, 20.0), rng.uniform(-500.0, 500.0)) for _ in range(120)]
+    expected = [_outcome(scalar, s) for s in points]
+    assert [_pair_outcome(r) for r in many(points)] == expected
+    # each point alone, and the list reversed, give the same outcomes
+    assert [_pair_outcome(many([s])[0]) for s in points] == expected
+    assert [_pair_outcome(r) for r in many(points[::-1])] == expected[::-1]
+    assert raised <= {o[0] for o in expected if isinstance(o[0], type)}
+
+
+def _recording(calls, f):
+    def wrapper(points):
+        points = list(points)
+        calls.append(len(points))
+        return f(points)
+
+    return wrapper
+
+
+def _no_scalar(*args):
+    raise AssertionError("a one-point evaluator was called")
+
+
+def test_classify_nu_reads_zeta_in_one_batch(monkeypatch):
+    points = [0.0, -2.0, 1.0, 3.0, -1.0, 300.0]
+    expected = classify_nu(points)
+    calls = []
+    monkeypatch.setattr(reflect, "_zeta_pairs", _recording(calls, reflect._zeta_pairs))
+    monkeypatch.setattr(reflect, "nu", _no_scalar)
+    got = classify_nu(points)
+    assert calls == [3 * len(points)]
+    assert [(c.point, c.kind, c.low_confidence) for c in got] == [(c.point, c.kind, c.low_confidence) for c in expected]
+    assert [c.kind for c in got] == ["zero", "zero", "pole", "pole", "regular", "regular"]
+    assert [c.evidence for c in got[:5]] == [c.evidence for c in expected[:5]]
+    assert got[5].low_confidence and math.isnan(got[5].evidence)  # nu(300 + off) falls below the floating range
+
+
+def test_kappa_pairs_reads_eta_in_one_batch(monkeypatch):
+    points = [0.75 + 10.0j, 0.2, 2.0 - 3.0j]
+    expected = [_outcome(kappa, s) for s in points]
+    calls = []
+    monkeypatch.setattr(reflect, "_eta_pairs", _recording(calls, reflect._eta_pairs))
+    monkeypatch.setattr(reflect, "eta", _no_scalar)
+    assert [_pair_outcome(r) for r in _kappa_pairs(points)] == expected
+    assert calls == [2 * len(points)]

@@ -605,6 +605,22 @@ def test_find_critical_zeros_refuses_an_oversized_grid(monkeypatch):
     assert len(find_critical_zeros(100.0, 110.0, 0.01)) == 4
 
 
+@pytest.mark.parametrize("t_max, step", [(20.0, 1e-320), (math.inf, 0.01)], ids=["tiny-step", "infinite-window"])
+def test_find_critical_zeros_names_a_grid_of_no_finite_count(monkeypatch, t_max, step):
+    def no_grid(points):
+        raise AssertionError("the grid was evaluated")
+
+    # the grid has no last point for eta's height check; the cap names its count
+    monkeypatch.setattr(zeros, "_zeta_pairs", no_grid)
+    with pytest.raises(DomainError, match=r"inf grid points, over its cap 1e\+07"):
+        find_critical_zeros(10.0, t_max, step)
+
+
+def test_find_critical_zeros_takes_a_subnormal_step():
+    # 0.2 / step is infinite; the coarse stride used to raise a bare OverflowError
+    assert find_critical_zeros(1e-320, 2e-320, 1e-320) == []
+
+
 def test_mertens_inequality_seeded():
     rng = np.random.default_rng(61)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=10_000)
