@@ -103,38 +103,46 @@ def build_table(n: int) -> ArithTable:
     r = math.isqrt(n)
     n_small = int(np.searchsorted(primes, r, side="right"))
 
-    # strided passes over the primes <= r
+    # strided passes over the primes <= r: omega counts each prime power, and
+    # mu starts as the squarefree flags, cleared on the multiples of each p^2
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     omega = np.zeros(n + 1, dtype=np.int16)
     for p in primes[:n_small].tolist():
-        mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         pk = p
         while pk <= n:
             omega[pk::pk] += 1
             pk *= p
-    # each i <= n has at most one prime factor q > r, and i = q*m with m <= n // (r + 1)
+    # each i <= n has at most one prime factor q > r, and i = q*m with m <= n // (r + 1) <= r:
+    # the passes above counted all of m's primes and none of i's but q, so omega(i) = omega(m) + 1
     large = primes[n_small:]
-    has_large = np.zeros(n + 1, dtype=bool)
     for m in range(1, n // (r + 1) + 1):
-        has_large[m * large[: np.searchsorted(large, n // m, side="right")]] = True
-    omega += has_large
-    mu *= 1 - 2 * has_large.view(np.int8)
-    del has_large
-
-    liouville = 1 - 2 * (omega & 1).astype(np.int8)
-    liouville[0] = 0
+        omega[m * large[: np.searchsorted(large, n // m, side="right")]] = omega[m] + 1
+    # a squarefree n has omega distinct primes, so mu(n) = (-1)^omega(n) there
+    mu *= _parity_sign(omega)
 
     # sigma[2m] = (1*mu)(m), the divisor sum of mu over m = n/2, stored as int8
     divsum = dirichlet_convolve(mu[: n // 2 + 1], np.ones(n // 2 + 1, dtype=np.int8))
+    if divsum.min() < -128 or divsum.max() > 127:
+        raise AssertionError("sigma_paper leaves the int8 range at construction")
     sigma = np.zeros(n + 1, dtype=np.int8)
     sigma[::2] = divsum
-    if not np.array_equal(sigma[::2], divsum):
-        raise AssertionError("sigma_paper leaves the int8 range at construction")
+    del divsum
 
+    # formed again here, not kept from mu's sign, so that it never sits beside the divisor sum
+    liouville = _parity_sign(omega)
+    liouville[0] = 0
     _construction_checks(n, mu, omega, liouville)
     return ArithTable(n, mu, omega, liouville, sigma)
+
+
+def _parity_sign(omega: np.ndarray) -> np.ndarray:
+    """(-1)^omega as int8, formed in place in its one int8 array."""
+    sign = np.bitwise_and(omega, 1, dtype=np.int8)
+    sign *= -2
+    sign += 1
+    return sign
 
 
 def dirichlet_convolve(f, g) -> np.ndarray:
@@ -144,7 +152,8 @@ def dirichlet_convolve(f, g) -> np.ndarray:
 
     Every divisor pair d*k = m <= n has d <= r = isqrt(n) or, if d > r,
     k <= n // (r + 1): one loop strides by d over the first pairs, the other
-    by k over the rest, and both skip zero coefficients.
+    by k over the rest, and both skip zero coefficients. A coefficient of
+    +1 or -1 adds or subtracts its stride in place, with no product array.
 
     Raises:
         ValueError: an array is not 1-d and finite with at least 2 entries.
@@ -157,15 +166,24 @@ def dirichlet_convolve(f, g) -> np.ndarray:
     n = f.shape[0] - 1
     if g.shape[0] != n + 1:
         raise BoundMismatch(f"bounds differ: {n} vs {g.shape[0] - 1}")
-    dtype = np.result_type(f, g, np.int64)
-    out = np.zeros(n + 1, dtype=dtype)
+    out = np.zeros(n + 1, dtype=np.result_type(f, g, np.int64))
     r = math.isqrt(n)
     for d in (np.flatnonzero(f[1 : r + 1]) + 1).tolist():
-        out[d::d] += dtype.type(f[d]) * g[1 : n // d + 1]
+        _add_multiple(out[d::d], f[d], g[1 : n // d + 1])
     for k in (np.flatnonzero(g[1 : n // (r + 1) + 1]) + 1).tolist():
         hi = n // k
-        out[k * (r + 1) : k * hi + 1 : k] += dtype.type(g[k]) * f[r + 1 : hi + 1]
+        _add_multiple(out[k * (r + 1) : k * hi + 1 : k], g[k], f[r + 1 : hi + 1])
     return out
+
+
+def _add_multiple(view: np.ndarray, c, x: np.ndarray) -> None:
+    """view += c * x in view's dtype, with no product array when c is +1 or -1."""
+    if c == 1:
+        np.add(view, x, out=view)
+    elif c == -1:
+        np.subtract(view, x, out=view)
+    else:
+        view += view.dtype.type(c) * x
 
 
 def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: np.ndarray) -> None:
@@ -173,7 +191,11 @@ def _construction_checks(n: int, mu: np.ndarray, omega: np.ndarray, liouville: n
     divsum = dirichlet_convolve(np.ones(limit + 1, dtype=np.int8), mu[: limit + 1])
     if divsum[1] != 1 or np.any(divsum[2:]):
         raise AssertionError("Mobius divisor-sum invariant failed at construction")
-    if mu[1] != 1 or np.any(liouville[1:] != np.where(omega[1:] & 1, np.int8(-1), np.int8(1))):
+    # liouville = 1 - 2 (omega & 1) leaves 1 in every entry of liouville + 2 (omega & 1)
+    odd = np.bitwise_and(omega[1:], 1, dtype=np.int8)
+    odd *= 2
+    odd += liouville[1:]
+    if mu[1] != 1 or np.any(odd != 1):
         raise AssertionError("liouville/omega invariant failed at construction")
 
 

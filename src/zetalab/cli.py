@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import arith
@@ -29,6 +30,20 @@ _SIEVE_COLUMNS = {
     "mangoldt": lambda t: t.mangoldt,
     "sigma": lambda t: t.sigma_paper,
 }
+
+
+#: a negative number as float() reads it. Before Python 3.13, argparse takes
+#: one written with an exponent, or as inf or nan, for an option flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative number, -1e5 and -inf
+    included, as a value; subcommand parsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -116,7 +131,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zetalab", description=__doc__)
+    parser = _Parser(prog="zetalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     eval_cmd = sub.add_parser("eval", help="Evaluate a function at re + i*im")

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, ZetaLabError
-from .reflect import _kappa_pairs, _kappa_value, _nu_pairs, classify_nu
+from .reflect import _kappa_pairs, _kappa_value, _nu_value, classify_nu
 from .reporting import CheckResult, RunConfig
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
-from .zeta_eval import _eta_pairs, _ok, _zeta_pairs, _zeta_values, zeta
+from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, zeta
 
 __all__ = ["REGISTRY", "run_check", "run_all", "grid_scan", "all_assertions_pass"]
 
@@ -113,8 +113,9 @@ def _check_nu_critline(cfg: RunConfig, rng) -> tuple[float, int, str]:
     while count < n:  # as many samples as are still missing, gated by |zeta| in one batch
         candidates = [complex(0.5, rng.uniform(1.0, 30.0)) for _ in range(n - count)]
         pairs = _zeta_pairs(candidates)
-        gated = [s for s, z in zip(candidates, pairs) if not isinstance(z, ZetaLabError) and abs(z[0]) >= 1e-3]
-        values = [r[0] for r in _nu_pairs(gated) if not isinstance(r, ZetaLabError)]
+        gated = [(s, z) for s, z in zip(candidates, pairs) if not isinstance(z, ZetaLabError) and abs(z[0]) >= 1e-3]
+        # nu reads the gate's zeta pairs, so each sample evaluates zeta once
+        values = [r[0] for r in (_try(_nu_value, s, z) for s, z in gated) if not isinstance(r, ZetaLabError)]
         worst = max([worst, *(abs(v - 1.0) for v in values)])
         count += len(values)
     return worst, n, "|nu(1/2 + it) - 1| on the critical line"

@@ -9,6 +9,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     DenominatorZero,
@@ -165,8 +166,13 @@ def kappa(s: complex) -> EvalResult:
 def _kappa_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
     """kappa's (value, bound) pairs, or errors, from one eta batch over every s and 2s."""
     pts = [complex(p) for p in points]
-    etas = _eta_pairs([*pts, *(2.0 * s for s in pts)])
-    return [_try(_kappa_value, s, e1, e2) for s, e1, e2 in zip(pts, etas, etas[len(pts) :])]
+    # eta runs only where kappa is defined, and at a NaN Re s, whose error is eta's;
+    # _kappa_value refuses Re s <= 1/4 before it reads an eta pair
+    defined = [not s.real <= 0.25 for s in pts]
+    inside = list(compress(pts, defined))
+    etas = _eta_pairs([*inside, *(2.0 * s for s in inside)])
+    at = iter(zip(etas, etas[len(inside) :]))
+    return [_try(_kappa_value, s, *(next(at) if d else (None, None))) for s, d in zip(pts, defined)]
 
 
 def _kappa_value(s: complex, eta_pair, eta2_pair) -> tuple[complex, float]:

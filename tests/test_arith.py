@@ -131,6 +131,77 @@ def test_sieve_matches_bruteforce_at_prime_powers_and_odd_bounds(n):
     assert_table_matches_oracle(n)
 
 
+def convolve_products(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dirichlet_convolve as it was before +-1 coefficients were added in
+    place: every stride forms its product array."""
+    n = f.shape[0] - 1
+    dtype = np.result_type(f, g, np.int64)
+    out = np.zeros(n + 1, dtype=dtype)
+    r = math.isqrt(n)
+    for d in (np.flatnonzero(f[1 : r + 1]) + 1).tolist():
+        out[d::d] += dtype.type(f[d]) * g[1 : n // d + 1]
+    for k in (np.flatnonzero(g[1 : n // (r + 1) + 1]) + 1).tolist():
+        hi = n // k
+        out[k * (r + 1) : k * hi + 1 : k] += dtype.type(g[k]) * f[r + 1 : hi + 1]
+    return out
+
+
+def reference_table(n: int) -> dict[str, np.ndarray]:
+    """The four sieved columns as the sign-flip sieve computed them before
+    mu became (-1)^Omega on squarefree flags: mu negated on every multiple of
+    each prime, a whole-length flag array for the prime above isqrt(n), and
+    sigma_paper from the product-form convolution."""
+    primes = np.array([p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))], dtype=np.int64)
+    r = math.isqrt(n)
+    n_small = int(np.searchsorted(primes, r, side="right"))
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    omega = np.zeros(n + 1, dtype=np.int16)
+    for p in primes[:n_small].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        pk = p
+        while pk <= n:
+            omega[pk::pk] += 1
+            pk *= p
+    large = primes[n_small:]
+    has_large = np.zeros(n + 1, dtype=bool)
+    for m in range(1, n // (r + 1) + 1):
+        has_large[m * large[: np.searchsorted(large, n // m, side="right")]] = True
+    omega += has_large
+    mu *= 1 - 2 * has_large.view(np.int8)
+    liouville = 1 - 2 * (omega & 1).astype(np.int8)
+    liouville[0] = 0
+    sigma = np.zeros(n + 1, dtype=np.int8)
+    sigma[::2] = convolve_products(mu[: n // 2 + 1], np.ones(n // 2 + 1, dtype=np.int8))
+    return {"mu": mu, "big_omega": omega, "liouville": liouville, "sigma_paper": sigma}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 24, 25, 26, 48, 49, 50, 9409, 9410, 24649, 99991, 10**5, 10**6])
+def test_build_table_matches_the_sign_flip_sieve(n):
+    # 9409 = 97^2, 24649 = 157^2, 99991 prime: bounds at and past the split point isqrt(n)
+    table = build_table(n)
+    for name, expected in reference_table(n).items():
+        got = getattr(table, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+def test_build_table_peaks_under_9_5_mb_at_1e6():
+    from zetalab import arith
+
+    arith._primes_upto_cached.cache_clear()  # count the primes array as a cold build does
+    tracemalloc.start()
+    try:
+        build_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the four columns take 5 MB, the int64 divisor sum behind sigma_paper 4 MB
+    # while it lasts, and the primes 0.6 MB; the sign-flip sieve peaked at 13.2 MB
+    assert peak < 9.5e6, peak
+
+
 def test_build_table_dtypes():
     table = build_table(1000)
     assert table.mu.dtype == np.int8
@@ -147,8 +218,8 @@ def test_build_table_leaves_mangoldt_uncomputed_until_it_is_read():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # mu, big_omega, liouville and sigma_paper take 5 MB; the int64 convolution
-    # and its largest product 8 MB more, the float64 mangoldt column 8 MB
+    # the sieve peaks under 9.5 MB (test_build_table_peaks_under_9_5_mb_at_1e6);
+    # the float64 mangoldt column would add 8 MB
     assert peak < 16e6, peak
     assert "mangoldt" not in vars(table)
     mangoldt = table.mangoldt
@@ -256,6 +327,29 @@ def test_convolution_commutative_and_associative():
     conv = dirichlet_convolve(f, f)
     assert conv.dtype == np.int64 and conv[2] == 20000
     assert conv.tolist() == convolve_brute(f, f)
+
+
+def test_convolution_mixes_unit_and_other_coefficients():
+    # +-1 coefficients add their stride in place, the others form a product;
+    # both give the divisor-sum definition in every result dtype, and the
+    # float sums the product form's bits
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 15, 16, 17, 99, 100, 101):
+        f8 = rng.choice(np.array([-128, -1, 0, 1, 2, 127], dtype=np.int8), size=n + 1)
+        g8 = rng.choice(np.array([-128, -3, -1, 1, 5], dtype=np.int8), size=n + 1)
+        conv = dirichlet_convolve(f8, g8)
+        assert conv.dtype == np.int64
+        assert conv.tolist() == convolve_brute(f8, g8), n
+        ff = rng.choice(np.array([-1.0, 1.0, 0.5, -2.25, 0.0]), size=n + 1)
+        gf = rng.normal(size=n + 1)
+        for f, g in ((ff, gf), (f8, gf), (ff, g8)):
+            conv = dirichlet_convolve(f, g)
+            assert conv.dtype == np.float64
+            assert np.array_equal(conv, convolve_products(f, g)), n
+            assert np.allclose(conv, convolve_brute(f, g), rtol=1e-13, atol=1e-12), n
+    # -128 * -128 summed over the divisors of 64 leaves int8 and int16 alike
+    f = np.full(65, -128, dtype=np.int8)
+    assert dirichlet_convolve(f, f)[64] == 7 * 128 * 128
 
 
 @pytest.mark.parametrize(

@@ -59,6 +59,30 @@ def test_eval_error_is_reported(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("re_arg", ["-1e5", "-1E-3", "-2.5e+1", "-inf", "-Infinity", "-nan"])
+def test_eval_reads_a_negative_number_in_any_float_form(re_arg, capsys):
+    # argparse before Python 3.13 takes these for option flags unless the parser says otherwise
+    code, out = run_cli(["eval", re_arg, "-1e1", "--fn", "zeta"], capsys)
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert repr(doc["re"]) == repr(float(re_arg)) and doc["im"] == -10.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeros", "--tmin", "-1e5", "--tmax", "10"], "t_min"),
+        (["zeros", "--tmin", "-inf", "--tmax", "10"], "t_min"),
+        (["zeros", "--tmin", "10", "--tmax", "11", "--step", "-1e-2"], "step"),
+        (["zeros", "--tmin", "10", "--tmax", "11", "--step", "-nan"], "step"),
+        (["scan", "--rect=0,1,0,1", "--step", "-1e-1", "--quantity", "abs_zeta"], "step"),
+    ],
+)
+def test_negative_option_values_reach_the_library(argv, message, capsys):
+    err = assert_one_line_error(argv, capsys)
+    assert message in err and "expected one argument" not in err
+
+
 def test_sieve_stdout(capsys):
     code, out = run_cli(["sieve", "6", "--fn", "mu"], capsys)
     assert code == 0

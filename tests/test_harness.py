@@ -409,9 +409,10 @@ def test_nu_critline_reads_zeta_once_per_round(monkeypatch):
     monkeypatch.setattr(harness, "zeta", _no_scalar)
     got = run_check("P3_NU_CRITLINE", RunConfig(seed=2))
     assert (got.verdict, got.worst_residual) == (expected.verdict, expected.worst_residual)
-    # one gate and one nu batch per round, each as large as the count still missing
-    assert len(gates) == len(batches) > 1 and gates[0] == 50
-    assert all(b <= g for g, b in zip(gates, batches))
+    # one gate batch per round, as large as the count still missing; nu reads
+    # the gate's zeta pairs and evaluates no zeta of its own
+    assert batches == []
+    assert len(gates) > 1 and gates[0] == 50
     assert all(later < earlier for earlier, later in zip(gates, gates[1:]))
 
 
@@ -431,6 +432,19 @@ def test_kappa_grid_and_scan_read_eta_in_batches(monkeypatch):
     monkeypatch.setattr(harness, "_eta_pairs", _recording(calls, harness._eta_pairs))
     assert len(_kappa_grid.__wrapped__((3, 4))) == 12
     assert calls == [2 * 12]
+
+
+def test_kappa_scan_left_of_its_domain_evaluates_no_eta(monkeypatch):
+    from zetalab import reflect
+
+    region, step = Rect(0.05, 0.25, 0.0, 30.0), 0.05
+    expected = grid_scan(region, step, "abs_kappa")
+    calls = []
+    monkeypatch.setattr(reflect, "_eta_pairs", _recording(calls, reflect._eta_pairs))
+    assert grid_scan(region, step, "abs_kappa") == expected
+    assert expected.count("\n") == 1 + 5 * 601
+    # kappa refuses Re s <= 1/4, so none of the 3,005 cells reads eta at s or 2s
+    assert len(calls) == 5 and sum(calls) == 0
 
 
 def test_grid_scan_peaks_under_three_times_its_output():

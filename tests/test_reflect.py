@@ -316,4 +316,4 @@ def test_kappa_pairs_reads_eta_in_one_batch(monkeypatch):
     monkeypatch.setattr(reflect, "_eta_pairs", _recording(calls, reflect._eta_pairs))
     monkeypatch.setattr(reflect, "eta", _no_scalar)
     assert [_pair_outcome(r) for r in _kappa_pairs(points)] == expected
-    assert calls == [2 * len(points)]
+    assert calls == [2 * 2]  # s and 2s for the two points in kappa's domain; 0.2 reads no eta
