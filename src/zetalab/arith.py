@@ -33,8 +33,10 @@ MEMORY_BUDGET = 100_000_000
 SELF_CHECK_LIMIT = 10_000
 
 
-@lru_cache(maxsize=8)
-def _primes_upto_cached(n: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def primes_upto(n: int) -> np.ndarray:
+    """Primes <= n by Eratosthenes sieve (the last bound's are cached; do not mutate)."""
+    n = int(n)
     if n < 2:
         return np.array([], dtype=np.int64)
     is_prime = np.ones(n + 1, dtype=bool)
@@ -42,12 +44,7 @@ def _primes_upto_cached(n: int) -> np.ndarray:
     for i in range(2, int(n**0.5) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
-
-
-def primes_upto(n: int) -> np.ndarray:
-    """Primes <= n by Eratosthenes sieve (cached, do not mutate)."""
-    return _primes_upto_cached(int(n))
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

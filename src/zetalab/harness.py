@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import arith
-from .errors import DomainError, ZetaLabError
-from .reflect import _kappa_pairs, _kappa_value, _nu_value, classify_nu
+from .errors import DomainError, UnknownCheckId, ZetaLabError
+from .reflect import _kappa_pairs, _kappa_value, _nu_value, classify_nu, conj_ratio
 from .reporting import CheckResult, RunConfig
 from .zeros import Rect, check_line_zeros, find_critical_zeros, multiplicity
 from .zeta_eval import _eta_pairs, _ok, _try, _zeta_pairs, _zeta_values, zeta
@@ -38,6 +38,8 @@ _SERIES_BOUND = 1_000_000
 #: numpy and the block sums joined by fsum, so no BLAS thread count can move
 #: the bytes, and no float64 array spans the whole table.
 _SERIES_BLOCK = 1 << 16
+#: sampled points stay off the zeros of zeta: |zeta| is at least this at each.
+_MIN_ABS_ZETA = 1e-3
 #: grid_scan refuses a grid of more cells than this before it allocates one.
 #: Each cell keeps about 57 bytes of CSV text, peaks at about 116 bytes while
 #: its column strings are joined, and costs 9-14 us at low height: 303,601
@@ -50,18 +52,16 @@ def _rng_for(seed: int, check_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, zlib.crc32(check_id.encode())])))
 
 
-def _sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-3):
-    """Seeded points in the box with |zeta| above min_abs_zeta (zero
-    neighborhoods excluded by resampling) and both half-planes of Im."""
-    pts = []
-    while len(pts) < n:  # as many candidates as are still missing, gated in one batch
-        candidates = [
-            complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0))
-            for _ in range(n - len(pts))
-        ]
-        pairs = _zeta_pairs(candidates)
-        pts += [s for s, v in zip(candidates, pairs) if not isinstance(v, ZetaLabError) and abs(v[0]) >= min_abs_zeta]
-    return pts
+def _draw_until(n, draw, keep) -> list:
+    """The first n values of keep(s, (value, bound) of zeta(s)) that are not None over candidates s = draw()
+    with |zeta(s)| >= _MIN_ABS_ZETA, drawn as many as are still missing at a time and gated in one batch."""
+    out = []
+    while len(out) < n:
+        candidates = [draw() for _ in range(n - len(out))]
+        for s, z in zip(candidates, _zeta_pairs(candidates)):
+            if not isinstance(z, ZetaLabError) and abs(z[0]) >= _MIN_ABS_ZETA and (v := keep(s, z)) is not None:
+                out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +70,6 @@ def _sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_zeta=1e-
 
 
 def _check_conj_ratio(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    from .reflect import conj_ratio
-
     worst = 0.0
     n = 1000
     for _ in range(n):
@@ -107,18 +105,12 @@ def _check_symmetry(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 def _check_nu_critline(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    worst = 0.0
-    n = 50
-    count = 0
-    while count < n:  # as many samples as are still missing, gated by |zeta| in one batch
-        candidates = [complex(0.5, rng.uniform(1.0, 30.0)) for _ in range(n - count)]
-        pairs = _zeta_pairs(candidates)
-        gated = [(s, z) for s, z in zip(candidates, pairs) if not isinstance(z, ZetaLabError) and abs(z[0]) >= 1e-3]
-        # nu reads the gate's zeta pairs, so each sample evaluates zeta once
-        values = [r[0] for r in (_try(_nu_value, s, z) for s, z in gated) if not isinstance(r, ZetaLabError)]
-        worst = max([worst, *(abs(v - 1.0) for v in values)])
-        count += len(values)
-    return worst, n, "|nu(1/2 + it) - 1| on the critical line"
+    def nu_at(s, z):  # nu reads the gate's zeta pair; a sample where nu raises is drawn again
+        r = _try(_nu_value, s, z)
+        return None if isinstance(r, ZetaLabError) else r[0]
+
+    values = _draw_until(50, lambda: complex(0.5, rng.uniform(1.0, 30.0)), nu_at)
+    return max([0.0, *(abs(v - 1.0) for v in values)]), len(values), "|nu(1/2 + it) - 1| on the critical line"
 
 
 def _check_nu_zeros(cfg: RunConfig, rng) -> tuple[float, int, str]:
@@ -207,10 +199,11 @@ def _check_lines(cfg: RunConfig, rng) -> tuple[float, int, str]:
 
 
 def _check_funceq(cfg: RunConfig, rng) -> tuple[float, int, str]:
-    pts = _sample_away_from_zeros(rng, 100, 0.05, 0.95, 0.5, 30.0)
-    worst = 0.0
-    for lhs, rhs in zip(_zeta_pairs(pts), _zeta_values(pts, ["reflect"] * len(pts), "zeta_reflect")):
-        worst = max(worst, abs(_ok(lhs)[0] - _ok(rhs)[0]))
+    # both half-planes of Im; the gate's zeta values are the left-hand side
+    draw = lambda: complex(rng.uniform(0.05, 0.95), rng.uniform(0.5, 30.0) * (1.0 if rng.uniform() < 0.5 else -1.0))
+    pts, lhs = zip(*_draw_until(100, draw, lambda s, z: (s, z[0])))
+    rhs = _zeta_values(list(pts), ["reflect"] * len(pts), "zeta_reflect")
+    worst = max([0.0, *(abs(v - _ok(r)[0]) for v, r in zip(lhs, rhs))])
     return worst, len(pts), "residual of the symmetric functional equation in the strip"
 
 
@@ -332,8 +325,6 @@ def run_check(check_id: str, cfg: RunConfig | None = None) -> CheckResult:
     Raises:
         UnknownCheckId: when the id is not registered.
     """
-    from .errors import UnknownCheckId
-
     cfg = cfg or RunConfig()
     entry = REGISTRY.get(check_id)
     if entry is None:

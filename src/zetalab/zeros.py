@@ -117,14 +117,14 @@ def _above_floor(z: complex, val: complex) -> complex:
     return val
 
 
-def _pole_free(z: complex, zeta_at) -> complex:
-    """(z - 1) zeta(z), where zeta_at() returns zeta(z) or raises, with
-    |zeta(z)| held to the boundary floor; the limit 1 where zeta_at raises
-    PoleAtOne."""
-    try:
-        return (z - 1.0) * _above_floor(z, zeta_at())
-    except PoleAtOne:
-        return 1.0
+def _pole_free(points: list[complex]) -> list[complex]:
+    """(z - 1) zeta(z) at each point, from one zeta batch, with |zeta(z)|
+    held to the boundary floor and the limit 1 where zeta raises PoleAtOne;
+    the first failure in point order is raised."""
+    return [
+        1.0 if isinstance(pair, PoleAtOne) else (z - 1.0) * _above_floor(z, _ok(pair)[0])
+        for z, pair in zip(points, _zeta_pairs(points))
+    ]
 
 
 def _edges(r: Rect, samples_per_edge: int) -> list[tuple[complex, complex, int, float]]:
@@ -202,7 +202,7 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
         )
     waypoints = _boundary_waypoints(r, samples_per_edge)
     # the loop closes on waypoints[0], whose value is already known
-    values = [_pole_free(z, lambda: _ok(pair)[0]) for z, pair in zip(waypoints, _zeta_pairs(waypoints[:-1]))]
+    values = _pole_free(waypoints[:-1])
     values.append(values[0])
 
     segments = list(zip(waypoints, waypoints[1:], values, values[1:]))
@@ -219,7 +219,7 @@ def count_zeros_rect(r: Rect, samples_per_edge: int = 256) -> int:
         if budget <= 0:
             raise BoundaryTooCloseToZero("winding refinement budget exhausted")
         zms = [0.5 * (z1 + z2) for z1, z2, _, _ in wide]
-        fms = [_pole_free(zm, lambda: _ok(pair)[0]) for zm, pair in zip(zms, _zeta_pairs(zms))]
+        fms = _pole_free(zms)
         segments = [s for (z1, z2, f1, f2), zm, fm in zip(wide, zms, fms) for s in ((z1, zm, f1, fm), (zm, z2, fm, f2))]
 
     winding = total / (2.0 * math.pi)

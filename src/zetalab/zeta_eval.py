@@ -211,12 +211,12 @@ def eta_many(points) -> list[EvalResult | ZetaLabError]:
     return [r if isinstance(r, ZetaLabError) else EvalResult(*r, "accelerated-eta") for r in _eta_pairs(points)]
 
 
-def _eta_pairs(points) -> list[tuple[complex, float] | ZetaLabError]:
-    """eta_many's (value, bound) pairs, or errors."""
+def _eta_pairs(points, finish=_eta_value) -> list[tuple[complex, float] | ZetaLabError]:
+    """eta_many's (value, bound) pairs, or errors; zeta's strip passes _strip_value as finish."""
     pts = [complex(p) for p in points]
     plans = [_try(_eta_plan, s) for s in pts]
     # the kernel takes Re s at most 1e300, where eta is 1 to the last bit, so that -Re s ln k cannot overflow
-    return _batch([complex(min(s.real, 1e300), s.imag) for s in pts], plans, _eta_kernel, _eta_value)
+    return _batch([complex(min(s.real, 1e300), s.imag) for s in pts], plans, _eta_kernel, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +416,7 @@ def _zeta_values(pts: list[complex], routes: list, name: str = "zeta") -> list[t
             values, errs = _em_value(s, n, bound, np.array(heads))
         for i, value, err in zip(em, values.tolist(), errs.tolist()):
             out[i] = value, err
-    strip_pts = [pts[i] for i in strip]
-    strip_plans = [_try(_eta_plan, s) for s in strip_pts]
-    for i, r in zip(strip, _batch(strip_pts, strip_plans, _eta_kernel, _strip_value)):
+    for i, r in zip(strip, _eta_pairs([pts[i] for i in strip], _strip_value)):
         out[i] = r
     if reflect:
         inner = [1.0 - pts[i] for i in reflect]

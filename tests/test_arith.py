@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zetalab import build_table, dirichlet_convolve
-from zetalab.arith import _construction_checks, cached_table
+from zetalab.arith import _construction_checks, cached_table, primes_upto
 from zetalab.errors import BoundMismatch, CapacityError
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_build_table_matches_the_sign_flip_sieve(n):
 def test_build_table_peaks_under_9_5_mb_at_1e6():
     from zetalab import arith
 
-    arith._primes_upto_cached.cache_clear()  # count the primes array as a cold build does
+    arith.primes_upto.cache_clear()  # count the primes array as a cold build does
     tracemalloc.start()
     try:
         build_table(10**6)
@@ -200,6 +200,12 @@ def test_build_table_peaks_under_9_5_mb_at_1e6():
     # the four columns take 5 MB, the int64 divisor sum behind sigma_paper 4 MB
     # while it lasts, and the primes 0.6 MB; the sign-flip sieve peaked at 13.2 MB
     assert peak < 9.5e6, peak
+
+
+def test_primes_upto_keeps_only_the_last_bound():
+    assert primes_upto(100).tolist()[-3:] == [83, 89, 97]
+    assert primes_upto(200).dtype == np.int64
+    assert primes_upto.cache_info().currsize <= 1
 
 
 def test_build_table_dtypes():

@@ -6,10 +6,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from zetalab import cli
+from zetalab import build_table, cli
 from zetalab import harness
 
 
@@ -87,6 +88,37 @@ def test_sieve_stdout(capsys):
     code, out = run_cli(["sieve", "6", "--fn", "mu"], capsys)
     assert code == 0
     assert out.splitlines() == ["n,value", "1,1", "2,-1", "3,-1", "4,0", "5,-1", "6,1"]
+
+
+def _sieve_text_row_by_row(n, fn):
+    """zetalab sieve's output as it was formed one row at a time."""
+    column = cli._SIEVE_COLUMNS[fn](build_table(n))
+    is_real = column.dtype.kind == "f"
+    lines = ["n,value"] + [f"{k},{float(column[k])!r}" if is_real else f"{k},{int(column[k])}" for k in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# 65537 rows: one past the first block of rows written
+@pytest.mark.parametrize("n", [12, 65537])
+@pytest.mark.parametrize("fn", sorted(cli._SIEVE_COLUMNS))
+def test_sieve_text_matches_the_row_by_row_form(tmp_path, capsys, n, fn):
+    expected = _sieve_text_row_by_row(n, fn).encode()
+    path = tmp_path / "column.csv"
+    assert run_cli(["sieve", str(n), "--fn", fn, "--out", str(path)], capsys) == (0, "")
+    assert path.read_bytes() == expected
+    assert run_cli(["sieve", str(n), "--fn", fn], capsys) == (0, expected.decode())
+
+
+def test_sieve_streams_its_column(tmp_path):
+    tracemalloc.start()
+    try:
+        assert cli.main(["sieve", "1000000", "--fn", "mu", "--out", str(tmp_path / "mu.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table's build peaks under 9.5 MB, and a block of 65536 rows takes a
+    # few MB while it is joined; one string per row held about 90 MB
+    assert peak < 20e6, peak
 
 
 def test_sieve_to_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from zetalab import REGISTRY, Rect, RunConfig, emit_report, grid_scan, run_all, run_check, zeta
 from zetalab import harness
 from zetalab.errors import DomainError, UnknownCheckId, ZetaLabError
-from zetalab.harness import _sample_away_from_zeros, all_assertions_pass
+from zetalab.harness import _draw_until, all_assertions_pass
 from zetalab.reporting import CheckResult, strip_durations
 
 EXPECTED_IDS = [
@@ -343,7 +343,14 @@ def _scalar_sample_away_from_zeros(rng, n, re_lo, re_hi, im_lo, im_hi, min_abs_z
 )
 def test_sampler_matches_the_scalar_loop(seed, box, min_abs_zeta):
     batched_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = _sample_away_from_zeros(batched_rng, 40, *box, min_abs_zeta)
+    re_lo, re_hi, im_lo, im_hi = box
+
+    def draw():
+        rng = batched_rng
+        return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi) * (1.0 if rng.uniform() < 0.5 else -1.0))
+
+    # the sampler gates at 1e-3 itself; keep adds the strict gate
+    batched = _draw_until(40, draw, lambda s, z: s if abs(z[0]) >= min_abs_zeta else None)
     assert batched == _scalar_sample_away_from_zeros(scalar_rng, 40, *box, min_abs_zeta)
     assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
 
@@ -414,6 +421,23 @@ def test_nu_critline_reads_zeta_once_per_round(monkeypatch):
     assert batches == []
     assert len(gates) > 1 and gates[0] == 50
     assert all(later < earlier for earlier, later in zip(gates, gates[1:]))
+
+
+def test_funceq_reads_zeta_once_per_candidate(monkeypatch):
+    expected = run_check("FUNCEQ_34", RunConfig(seed=1))
+    points = []
+
+    def recording(pts):
+        points.extend(pts)
+        return zeta_pairs(pts)
+
+    zeta_pairs = harness._zeta_pairs
+    monkeypatch.setattr(harness, "_zeta_pairs", recording)
+    monkeypatch.setattr(harness, "zeta", _no_scalar)
+    got = run_check("FUNCEQ_34", RunConfig(seed=1))
+    assert (got.verdict, got.worst_residual, got.n_samples) == (expected.verdict, expected.worst_residual, 100)
+    # the gate's zeta values are the left-hand side: no candidate is evaluated twice
+    assert len(points) == len(set(points)) == 100
 
 
 def test_kappa_grid_and_scan_read_eta_in_batches(monkeypatch):
